@@ -501,36 +501,104 @@ static const uint64_t keccak_rc[24] = {
   0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL,
 };
 
-static const int keccak_rot[25] = {
-  0, 1, 62, 28, 27, 36, 44, 6, 55, 20, 3, 10, 43, 25, 39, 41, 45, 15, 21, 8, 18, 2, 61, 56, 14,
-};
+/* One Keccak-f[1600] round, fully unrolled over the 25 local lanes
+   a00..a24 (lane x + 5y): theta's column parities and D values, theta
+   folded into the fixed rho/pi lane mapping (b[y + 5((2x + 3y) mod 5)] =
+   rotl(a[x + 5y] ^ d[x], rho[x + 5y])), then chi and iota. Written against
+   lane operations XOR, ANDN (~a & b) and ROL(x, r) with constant r, so the
+   scalar permutation and the 4-way AVX2 one expand the very same round and
+   cannot drift apart. */
+#define KECCAK_ROUND(T, XOR, ANDN, ROL, RC)             \
+  do {                                                  \
+    T c0 = XOR(a00, XOR(a05, XOR(a10, XOR(a15, a20)))); \
+    T c1 = XOR(a01, XOR(a06, XOR(a11, XOR(a16, a21)))); \
+    T c2 = XOR(a02, XOR(a07, XOR(a12, XOR(a17, a22)))); \
+    T c3 = XOR(a03, XOR(a08, XOR(a13, XOR(a18, a23)))); \
+    T c4 = XOR(a04, XOR(a09, XOR(a14, XOR(a19, a24)))); \
+    T d0 = XOR(c4, ROL(c1, 1));                         \
+    T d1 = XOR(c0, ROL(c2, 1));                         \
+    T d2 = XOR(c1, ROL(c3, 1));                         \
+    T d3 = XOR(c2, ROL(c4, 1));                         \
+    T d4 = XOR(c3, ROL(c0, 1));                         \
+    T b00 = XOR(a00, d0);                               \
+    T b01 = ROL(XOR(a06, d1), 44);                      \
+    T b02 = ROL(XOR(a12, d2), 43);                      \
+    T b03 = ROL(XOR(a18, d3), 21);                      \
+    T b04 = ROL(XOR(a24, d4), 14);                      \
+    T b05 = ROL(XOR(a03, d3), 28);                      \
+    T b06 = ROL(XOR(a09, d4), 20);                      \
+    T b07 = ROL(XOR(a10, d0), 3);                       \
+    T b08 = ROL(XOR(a16, d1), 45);                      \
+    T b09 = ROL(XOR(a22, d2), 61);                      \
+    T b10 = ROL(XOR(a01, d1), 1);                       \
+    T b11 = ROL(XOR(a07, d2), 6);                       \
+    T b12 = ROL(XOR(a13, d3), 25);                      \
+    T b13 = ROL(XOR(a19, d4), 8);                       \
+    T b14 = ROL(XOR(a20, d0), 18);                      \
+    T b15 = ROL(XOR(a04, d4), 27);                      \
+    T b16 = ROL(XOR(a05, d0), 36);                      \
+    T b17 = ROL(XOR(a11, d1), 10);                      \
+    T b18 = ROL(XOR(a17, d2), 15);                      \
+    T b19 = ROL(XOR(a23, d3), 56);                      \
+    T b20 = ROL(XOR(a02, d2), 62);                      \
+    T b21 = ROL(XOR(a08, d3), 55);                      \
+    T b22 = ROL(XOR(a14, d4), 39);                      \
+    T b23 = ROL(XOR(a15, d0), 41);                      \
+    T b24 = ROL(XOR(a21, d1), 2);                       \
+    a00 = XOR(b00, ANDN(b01, b02));                     \
+    a01 = XOR(b01, ANDN(b02, b03));                     \
+    a02 = XOR(b02, ANDN(b03, b04));                     \
+    a03 = XOR(b03, ANDN(b04, b00));                     \
+    a04 = XOR(b04, ANDN(b00, b01));                     \
+    a05 = XOR(b05, ANDN(b06, b07));                     \
+    a06 = XOR(b06, ANDN(b07, b08));                     \
+    a07 = XOR(b07, ANDN(b08, b09));                     \
+    a08 = XOR(b08, ANDN(b09, b05));                     \
+    a09 = XOR(b09, ANDN(b05, b06));                     \
+    a10 = XOR(b10, ANDN(b11, b12));                     \
+    a11 = XOR(b11, ANDN(b12, b13));                     \
+    a12 = XOR(b12, ANDN(b13, b14));                     \
+    a13 = XOR(b13, ANDN(b14, b10));                     \
+    a14 = XOR(b14, ANDN(b10, b11));                     \
+    a15 = XOR(b15, ANDN(b16, b17));                     \
+    a16 = XOR(b16, ANDN(b17, b18));                     \
+    a17 = XOR(b17, ANDN(b18, b19));                     \
+    a18 = XOR(b18, ANDN(b19, b15));                     \
+    a19 = XOR(b19, ANDN(b15, b16));                     \
+    a20 = XOR(b20, ANDN(b21, b22));                     \
+    a21 = XOR(b21, ANDN(b22, b23));                     \
+    a22 = XOR(b22, ANDN(b23, b24));                     \
+    a23 = XOR(b23, ANDN(b24, b20));                     \
+    a24 = XOR(b24, ANDN(b20, b21));                     \
+    a00 = XOR(a00, RC);                                 \
+  } while (0)
 
-static inline uint64_t rotl64(uint64_t x, int r)
-{
-  return r == 0 ? x : (x << r) | (x >> (64 - r));
-}
+#define KECCAK_LOAD(T, s)                                                                \
+  T a00 = (s)[0], a01 = (s)[1], a02 = (s)[2], a03 = (s)[3], a04 = (s)[4], a05 = (s)[5],  \
+    a06 = (s)[6], a07 = (s)[7], a08 = (s)[8], a09 = (s)[9], a10 = (s)[10], a11 = (s)[11], \
+    a12 = (s)[12], a13 = (s)[13], a14 = (s)[14], a15 = (s)[15], a16 = (s)[16],           \
+    a17 = (s)[17], a18 = (s)[18], a19 = (s)[19], a20 = (s)[20], a21 = (s)[21],           \
+    a22 = (s)[22], a23 = (s)[23], a24 = (s)[24]
+
+#define KECCAK_STORE(s)                                                                  \
+  do {                                                                                   \
+    (s)[0] = a00; (s)[1] = a01; (s)[2] = a02; (s)[3] = a03; (s)[4] = a04;                \
+    (s)[5] = a05; (s)[6] = a06; (s)[7] = a07; (s)[8] = a08; (s)[9] = a09;                \
+    (s)[10] = a10; (s)[11] = a11; (s)[12] = a12; (s)[13] = a13; (s)[14] = a14;           \
+    (s)[15] = a15; (s)[16] = a16; (s)[17] = a17; (s)[18] = a18; (s)[19] = a19;           \
+    (s)[20] = a20; (s)[21] = a21; (s)[22] = a22; (s)[23] = a23; (s)[24] = a24;           \
+  } while (0)
+
+#define XOR64(a, b) ((a) ^ (b))
+#define ANDN64(a, b) (~(a) & (b))
+#define ROL64(x, r) (((x) << (r)) | ((x) >> (64 - (r))))
 
 static void keccak_f1600(uint64_t *st)
 {
-  uint64_t b[25], c[5], d;
-  for (int round = 0; round < 24; round++) {
-    for (int x = 0; x < 5; x++)
-      c[x] = st[x] ^ st[x + 5] ^ st[x + 10] ^ st[x + 15] ^ st[x + 20];
-    for (int x = 0; x < 5; x++) {
-      d = c[(x + 4) % 5] ^ rotl64(c[(x + 1) % 5], 1);
-      for (int y = 0; y < 5; y++) st[x + 5 * y] ^= d;
-    }
-    for (int x = 0; x < 5; x++)
-      for (int y = 0; y < 5; y++) {
-        int src = x + 5 * y;
-        int dst = y + 5 * ((2 * x + 3 * y) % 5);
-        b[dst] = rotl64(st[src], keccak_rot[src]);
-      }
-    for (int y = 0; y < 5; y++)
-      for (int x = 0; x < 5; x++)
-        st[x + 5 * y] = b[x + 5 * y] ^ (~b[(x + 1) % 5 + 5 * y] & b[(x + 2) % 5 + 5 * y]);
-    st[0] ^= keccak_rc[round];
-  }
+  KECCAK_LOAD(uint64_t, st);
+  for (int round = 0; round < 24; round++)
+    KECCAK_ROUND(uint64_t, XOR64, ANDN64, ROL64, keccak_rc[round]);
+  KECCAK_STORE(st);
 }
 
 CAMLprim value caml_nocap_f1600_off(value vst, value voff)
@@ -677,38 +745,16 @@ CAMLprim value caml_nocap_col_absorb(value vstates, value vflat, value vrs, valu
 
 #if defined(NOCAP_X86_64)
 
-__attribute__((target("avx2"))) static inline __m256i rotl64x4(__m256i x, int r)
-{
-  if (r == 0) return x;
-  return _mm256_or_si256(_mm256_slli_epi64(x, r), _mm256_srli_epi64(x, 64 - r));
-}
+#define XOR4(a, b) _mm256_xor_si256((a), (b))
+#define ANDN4(a, b) _mm256_andnot_si256((a), (b))
+#define ROL4(x, r) _mm256_or_si256(_mm256_slli_epi64((x), (r)), _mm256_srli_epi64((x), 64 - (r)))
 
 __attribute__((target("avx2"))) static void keccak_f1600_x4(__m256i *st)
 {
-  __m256i b[25], c[5], d;
-  for (int round = 0; round < 24; round++) {
-    for (int x = 0; x < 5; x++)
-      c[x] = _mm256_xor_si256(
-          st[x],
-          _mm256_xor_si256(st[x + 5], _mm256_xor_si256(st[x + 10],
-                                                       _mm256_xor_si256(st[x + 15], st[x + 20]))));
-    for (int x = 0; x < 5; x++) {
-      d = _mm256_xor_si256(c[(x + 4) % 5], rotl64x4(c[(x + 1) % 5], 1));
-      for (int y = 0; y < 5; y++) st[x + 5 * y] = _mm256_xor_si256(st[x + 5 * y], d);
-    }
-    for (int x = 0; x < 5; x++)
-      for (int y = 0; y < 5; y++) {
-        int src = x + 5 * y;
-        int dst = y + 5 * ((2 * x + 3 * y) % 5);
-        b[dst] = rotl64x4(st[src], keccak_rot[src]);
-      }
-    for (int y = 0; y < 5; y++)
-      for (int x = 0; x < 5; x++)
-        st[x + 5 * y] = _mm256_xor_si256(
-            b[x + 5 * y],
-            _mm256_andnot_si256(b[(x + 1) % 5 + 5 * y], b[(x + 2) % 5 + 5 * y]));
-    st[0] = _mm256_xor_si256(st[0], _mm256_set1_epi64x((long long)keccak_rc[round]));
-  }
+  KECCAK_LOAD(__m256i, st);
+  for (int round = 0; round < 24; round++)
+    KECCAK_ROUND(__m256i, XOR4, ANDN4, ROL4, _mm256_set1_epi64x((long long)keccak_rc[round]));
+  KECCAK_STORE(st);
 }
 
 __attribute__((target("avx2"))) static void sha3_256_x4(const unsigned char *m[4], size_t len,

@@ -1,5 +1,6 @@
 module Gf = Zk_field.Gf
-module Ntt = Zk_ntt.Ntt.Gf_ntt
+module Ntt_fv = Zk_ntt.Ntt.Gf_fv
+module Fv = Nocap_vec.Fv
 module Merkle = Zk_merkle.Merkle
 module Transcript = Zk_hash.Transcript
 
@@ -32,18 +33,20 @@ let commit_layer evals =
   in
   Merkle.build leaves
 
+(* x_j = shift * w^j, so x_j^-1 = shift^-1 * (w^-1)^j runs as a product:
+   one inversion per layer instead of one per element. The 1/2 and beta
+   factors ride along in [t], and Goldilocks results are canonical, so the
+   reassociated products are bit-identical to the textbook formula. *)
 let fold ~shift evals beta =
   let n = Array.length evals in
   let half = n / 2 in
-  let w = Gf.root_of_unity (log2_exact n) in
+  let w_inv = Gf.inv (Gf.root_of_unity (log2_exact n)) in
   let inv2 = Gf.inv Gf.two in
-  let x = ref shift in
+  let t = ref (Gf.mul (Gf.mul beta inv2) (Gf.inv shift)) in
   Array.init half (fun j ->
       let a = evals.(j) and b = evals.(j + half) in
-      let even = Gf.mul inv2 (Gf.add a b) in
-      let odd = Gf.mul inv2 (Gf.mul (Gf.sub a b) (Gf.inv !x)) in
-      let out = Gf.add even (Gf.mul beta odd) in
-      x := Gf.mul !x w;
+      let out = Gf.add (Gf.mul inv2 (Gf.add a b)) (Gf.mul !t (Gf.sub a b)) in
+      t := Gf.mul !t w_inv;
       out)
 
 let prove ?(shift = Gf.one) params transcript coeffs =
@@ -53,17 +56,19 @@ let prove ?(shift = Gf.one) params transcript coeffs =
   Transcript.absorb_int transcript "fri/degree" n;
   Transcript.absorb_int transcript "fri/blowup" params.blowup_log2;
   (* Layer 0: evaluations over the (possibly coset-shifted) domain. *)
-  let evals = Array.make domain Gf.zero in
-  Array.blit coeffs 0 evals 0 n;
+  let evals_fv = Fv.create domain in
+  Fv.zero evals_fv;
+  Fv.write_array coeffs ~src_pos:0 evals_fv ~dst_pos:0 ~len:n;
   (* Coset: scale coefficient i by shift^i before the NTT. *)
   if not (Gf.equal shift Gf.one) then begin
     let si = ref Gf.one in
     for i = 0 to n - 1 do
-      evals.(i) <- Gf.mul evals.(i) !si;
+      Fv.set evals_fv i (Gf.mul (Fv.get evals_fv i) !si);
       si := Gf.mul !si shift
     done
   end;
-  Ntt.forward (Ntt.plan domain) evals;
+  Ntt_fv.forward (Ntt_fv.plan domain) evals_fv;
+  let evals = Fv.to_array evals_fv in
   (* Commit and fold log_n times. *)
   let layers = ref [ evals ] in
   let trees = ref [ commit_layer evals ] in
@@ -136,6 +141,18 @@ let verify ?(shift = Gf.one) params transcript ~degree_bound proof =
     else Error "wrong number of queries"
   in
   let inv2 = Gf.inv Gf.two in
+  (* The layer-i domain is shift^(2^i) * <w_i>, so x^-1 at leaf j is
+     shift_i^-1 * (w_i^-1)^j: both inverses are per layer, hoisted out of
+     the query walk, which then costs one exponentiation per layer. *)
+  let layer_inv =
+    let s = ref shift in
+    Array.init log_n (fun i ->
+        let inverses =
+          (Gf.inv !s, Gf.inv (Gf.root_of_unity (log_n + params.blowup_log2 - i)))
+        in
+        s := Gf.square !s;
+        inverses)
+  in
   let rec check_query q_idx =
     if q_idx >= Array.length proof.queries then Ok ()
     else begin
@@ -167,15 +184,10 @@ let verify ?(shift = Gf.one) params transcript ~degree_bound proof =
               then Ok ()
               else Error (Printf.sprintf "query %d: final layer not constant" q_idx)
             else begin
-              let w = Gf.root_of_unity (log2_exact layer_size) in
-              let shift_i =
-                (* The layer-i domain is shift^(2^i) times the plain one. *)
-                let rec sq s k = if k = 0 then s else sq (Gf.square s) (k - 1) in
-                sq shift i
-              in
-              let x = Gf.mul shift_i (Gf.pow w (Int64.of_int leaf_pos)) in
+              let shift_inv, w_inv = layer_inv.(i) in
+              let x_inv = Gf.mul shift_inv (Gf.pow w_inv (Int64.of_int leaf_pos)) in
               let even = Gf.mul inv2 (Gf.add a b) in
-              let odd = Gf.mul inv2 (Gf.mul (Gf.sub a b) (Gf.inv x)) in
+              let odd = Gf.mul inv2 (Gf.mul (Gf.sub a b) x_inv) in
               let next = Gf.add even (Gf.mul betas.(i) odd) in
               walk (i + 1) half leaf_pos (Some next)
             end

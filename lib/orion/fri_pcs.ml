@@ -3,7 +3,6 @@ module Mle = Zk_poly.Mle
 module Dense = Zk_poly.Dense
 module Merkle = Zk_merkle.Merkle
 module Transcript = Zk_hash.Transcript
-module Ntt = Zk_ntt.Ntt.Gf_ntt
 module Ntt_fv = Zk_ntt.Ntt.Gf_fv
 module Pool = Nocap_parallel.Pool
 module Codec = Zk_pcs.Codec
@@ -157,28 +156,25 @@ let commit ?engine params rng table =
   let n = Array.length table in
   let num_vars = log2_exact n in
   let domain = n lsl params.blowup_log2 in
+  (* Both stores run the NTT over the flat 8-byte/element vector. The
+     streaming store still holds it in RAM — O(domain) resident all the
+     same (documented limit); its win is downstream: the codeword and table
+     spill, and the opening's fold pyramid never materializes. The field
+     values do not depend on the store, so neither do the root and the
+     proof bytes. *)
+  let coeffs = monomial_coeffs table in
+  let evals_fv = Fv.create domain in
+  Fv.zero evals_fv;
+  Fv.write_array coeffs ~src_pos:0 evals_fv ~dst_pos:0 ~len:n;
+  Ntt_fv.forward (Ntt_fv.plan domain) evals_fv;
   match Option.bind engine Zk_pcs.Engine.stream_budget_bytes with
   | None ->
-    let coeffs = monomial_coeffs table in
-    let evals = Array.make domain Gf.zero in
-    Array.blit coeffs 0 evals 0 n;
-    Ntt.forward (Ntt.plan domain) evals;
+    let evals = Fv.to_array evals_fv in
     let tree = Fri.commit_layer evals in
     let c_commitment = { root = Merkle.root tree; num_vars } in
     ({ c_commitment; store = Dense { table = Array.copy table; evals }; tree }, c_commitment)
   | Some budget ->
-    (* Streaming store. The NTT itself still runs in RAM — over the flat
-       8-byte/element vector rather than boxed Gf, but O(domain) resident
-       all the same (documented limit); the win is downstream: the
-       codeword and table spill, and the opening's fold pyramid never
-       materializes. Field values are identical to the boxed NTT, so the
-       root and proof bytes match the dense store's. *)
     let block = block_of_budget budget in
-    let coeffs = monomial_coeffs table in
-    let evals_fv = Fv.create domain in
-    Fv.zero evals_fv;
-    Fv.write_array coeffs ~src_pos:0 evals_fv ~dst_pos:0 ~len:n;
-    Ntt_fv.forward (Ntt_fv.plan domain) evals_fv;
     let s_evals = Spill.create ~tag:"fri-evals" ~spill:true domain in
     (* Free the partially-built spills on cancellation / injected I/O
        faults instead of waiting for the GC backstop. *)
@@ -312,8 +308,9 @@ let open_at_dense ?engine params committed ~table ~evals transcript point =
    at a time. Accumulation order, fold arithmetic, and transcript traffic
    are element-for-element those of {!open_at_dense} — Goldilocks ops are
    exact and canonical, so value equality is bit equality and the proof
-   bytes match. Block-start twiddles come from [Gf.pow] instead of the
-   dense running product; same field element, same bits. *)
+   bytes match. Each fold block starts its running [x^-1] at
+   [Gf.pow w^-1 j] instead of continuing the dense running product; same
+   field element, same bits. *)
 let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point =
   let cm = committed.c_commitment in
   let l = cm.num_vars in
@@ -434,7 +431,8 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
     let cw = List.hd !layers in
     let cw_len = Spill.length cw in
     let cw_half = cw_len / 2 in
-    let w = Gf.root_of_unity (log2_exact cw_len) in
+    let w_inv = Gf.inv (Gf.root_of_unity (log2_exact cw_len)) in
+    let r_half = Gf.mul r inv2 in
     let next = fresh "fri-layer" cw_half in
     let j = ref 0 in
     while !j < cw_half do
@@ -442,13 +440,12 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
       let alv = Fv.sub_view alo ~pos:0 ~len:bl and ahv = Fv.sub_view ahi ~pos:0 ~len:bl in
       Spill.read cw ~pos:!j alv;
       Spill.read cw ~pos:(!j + cw_half) ahv;
-      let x = ref (Gf.pow w (Int64.of_int !j)) in
+      (* The {!Fri.fold} step: t = r/2 * x^-1, with x = w^(j + i). *)
+      let t = ref (Gf.mul r_half (Gf.pow w_inv (Int64.of_int !j))) in
       for i = 0 to bl - 1 do
         let av = Fv.get alv i and bv = Fv.get ahv i in
-        let even = Gf.mul inv2 (Gf.add av bv) in
-        let odd = Gf.mul inv2 (Gf.mul (Gf.sub av bv) (Gf.inv !x)) in
-        Fv.set alv i (Gf.add even (Gf.mul r odd));
-        x := Gf.mul !x w
+        Fv.set alv i (Gf.add (Gf.mul inv2 (Gf.add av bv)) (Gf.mul !t (Gf.sub av bv)));
+        t := Gf.mul !t w_inv
       done;
       Spill.write next ~pos:!j alv;
       j := !j + bl
@@ -581,6 +578,11 @@ let verify ?engine params (cm : commitment) transcript point value proof =
   in
   let roots = Array.append [| cm.root |] proof.layer_roots in
   let inv2 = Gf.inv Gf.two in
+  (* w_i^-1 for the layer-i domain of size 2^(l + blowup - i), hoisted out of
+     the query walk: x^-1 at leaf j is then one exponentiation. *)
+  let w_inv =
+    Array.init l (fun i -> Gf.inv (Gf.root_of_unity (l + params.blowup_log2 - i)))
+  in
   let rec check_query qi =
     if qi >= Array.length proof.queries then Ok ()
     else begin
@@ -609,10 +611,9 @@ let verify ?engine params (cm : commitment) transcript point value proof =
               then Ok ()
               else E.errorf E.Consistency "query %d: final layer not constant" qi
             else begin
-              let w = Gf.root_of_unity (log2_exact layer_size) in
-              let x = Gf.pow w (Int64.of_int leaf_pos) in
+              let x_inv = Gf.pow w_inv.(i) (Int64.of_int leaf_pos) in
               let even = Gf.mul inv2 (Gf.add av bv) in
-              let odd = Gf.mul inv2 (Gf.mul (Gf.sub av bv) (Gf.inv x)) in
+              let odd = Gf.mul inv2 (Gf.mul (Gf.sub av bv) x_inv) in
               let next = Gf.add even (Gf.mul challenges.(i) odd) in
               walk (i + 1) half leaf_pos (Some next)
             end

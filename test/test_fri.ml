@@ -6,6 +6,8 @@ module Gf = Zk_field.Gf
 module Fri = Zk_orion.Fri
 module Transcript = Zk_hash.Transcript
 module Rng = Zk_util.Rng
+module Fri_pcs = Zk_orion.Fri_pcs
+module Engine = Zk_pcs.Engine
 
 let params = Fri.default_params
 
@@ -77,6 +79,64 @@ let test_proof_size () =
   Alcotest.(check bool) (Printf.sprintf "size %d plausible" sz) true
     (sz > 10_000 && sz < 400_000)
 
+(* Textbook fold, one [Gf.inv] per element: the oracle for {!Fri.fold}'s
+   running-inverse form. *)
+let reference_fold ~log_n ~shift evals beta =
+  let half = Array.length evals / 2 in
+  let w = Gf.root_of_unity log_n in
+  let inv2 = Gf.inv Gf.two in
+  Array.init half (fun j ->
+      let a = evals.(j) and b = evals.(j + half) in
+      let x = Gf.mul shift (Gf.pow w (Int64.of_int j)) in
+      let even = Gf.mul inv2 (Gf.add a b) in
+      let odd = Gf.mul inv2 (Gf.mul (Gf.sub a b) (Gf.inv x)) in
+      Gf.add even (Gf.mul beta odd))
+
+let test_fold_matches_reference () =
+  let rng = Rng.create 706L in
+  for log_n = 1 to 10 do
+    let n = 1 lsl log_n in
+    let evals = Array.init n (fun _ -> Gf.random rng) in
+    let beta = Gf.random rng in
+    List.iter
+      (fun shift ->
+        let expected = reference_fold ~log_n ~shift evals beta in
+        let got = Fri.fold ~shift evals beta in
+        Array.iteri
+          (fun j e ->
+            Alcotest.(check int64)
+              (Printf.sprintf "fold n=%d shift=%Lu j=%d" n shift j)
+              e got.(j))
+          expected)
+      [ Gf.one; Gf.multiplicative_generator ]
+  done
+
+(* A streamed opening folds each codeword layer in blocks whose running
+   [x^-1] restarts at [Gf.pow w^-1 j]. A 2 KiB budget pins the block at its
+   1024-element floor, so at 2^12 variables (16384-point codeword) the
+   first layers fold in 8, 4 and 2 blocks and every block start j <> 0 is
+   exercised; the proof must still match the dense one byte for byte. *)
+let test_streamed_blocks_match_dense () =
+  let params = Fri_pcs.test_params in
+  let l = 12 in
+  let rng = Rng.create 707L in
+  let table = Array.init (1 lsl l) (fun _ -> Gf.random rng) in
+  let point = Array.init l (fun _ -> Gf.random rng) in
+  let engine = Engine.create ~stream_budget_bytes:2048 () in
+  let open_with ?engine () =
+    let committed, cm = Fri_pcs.commit ?engine params (Rng.create 0L) table in
+    let t = Transcript.create "fri-blocks" in
+    Fri_pcs.absorb_commitment t cm;
+    let value, proof = Fri_pcs.open_at ?engine params committed t point in
+    Fri_pcs.free_committed committed;
+    let buf = Buffer.create 4096 in
+    Fri_pcs.write_commitment buf cm;
+    Zk_pcs.Codec.put_gf buf value;
+    Fri_pcs.write_eval_proof buf proof;
+    Buffer.contents buf
+  in
+  Alcotest.(check string) "streamed bytes = dense bytes" (open_with ()) (open_with ~engine ())
+
 let prop_random_sizes =
   QCheck.Test.make ~count:10 ~name:"FRI roundtrip at random sizes"
     QCheck.(int_range 0 7)
@@ -94,5 +154,8 @@ let suite =
     Alcotest.test_case "tampered layer rejected" `Quick test_tampered_layer_rejected;
     Alcotest.test_case "wrong transcript rejected" `Quick test_wrong_transcript_rejected;
     Alcotest.test_case "proof size" `Quick test_proof_size;
+    Alcotest.test_case "fold = per-element-inverse reference" `Quick test_fold_matches_reference;
+    Alcotest.test_case "streamed multi-block fold = dense bytes" `Quick
+      test_streamed_blocks_match_dense;
     QCheck_alcotest.to_alcotest prop_random_sizes;
   ]

@@ -272,13 +272,22 @@ let test_sha3_all_lengths () =
     "sha3(\"abc\")" "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532"
     (Keccak.to_hex (Keccak.sha3_256 (Bytes.of_string "abc")))
 
+(* Structured bytes repeat one pattern across the four lanes; the random
+   cases hash four independent messages spanning several rate blocks plus a
+   partial tail, so a lane mix-up inside the 4-way permutation cannot
+   cancel out. *)
 let test_sha3_x4 () =
+  let structured len =
+    Array.init 4 (fun l -> Bytes.init len (fun i -> Char.chr ((l + (i * 11)) land 0xff)))
+  in
+  let rng = Rng.create 0x5A3L in
+  let random len =
+    Array.init 4 (fun _ ->
+        Bytes.init len (fun _ -> Char.chr (Int64.to_int (Rng.next rng) land 0xff)))
+  in
   List.iter
-    (fun len ->
-      let msgs =
-        Array.init 4 (fun l ->
-            Bytes.init len (fun i -> Char.chr ((l + (i * 11)) land 0xff)))
-      in
+    (fun (kind, msgs) ->
+      let len = Bytes.length msgs.(0) in
       let expected =
         Native.with_mode Native.Off (fun () -> Array.map Keccak.sha3_256 msgs)
       in
@@ -289,13 +298,14 @@ let test_sha3_x4 () =
           Array.iteri
             (fun i d ->
               Alcotest.(check string)
-                (Printf.sprintf "sha3_x4 len=%d lane=%d [%s]" len i
+                (Printf.sprintf "sha3_x4 %s len=%d lane=%d [%s]" kind len i
                    (Native.mode_to_string m))
                 expected.(i)
                 (Bytes.to_string d))
             outs)
         [ Native.Scalar; Native.Simd ])
-    [ 0; 1; 135; 136; 137; 272 ]
+    (List.map (fun len -> ("structured", structured len)) [ 0; 1; 135; 136; 137; 272 ]
+    @ List.map (fun len -> ("random", random len)) [ 3 * 136; (5 * 136) + 77 ])
 
 let test_sha3_batch () =
   (* Non-uniform lengths (parallel_map path) and a uniform batch with a
@@ -377,6 +387,31 @@ let test_f1600_off_torture () =
           done)
         [ Native.Scalar; Native.Simd ])
     [ 0; 7; 25; 52; 75 ]
+
+(* 1,000 chained permutations from a random 25-lane state: each output
+   feeds the next input, so a single wrong lane anywhere in the unrolled
+   round diverges from the OCaml oracle for good. *)
+let test_f1600_chained () =
+  let rng = Rng.create 0xC4A1L in
+  let start = Array.init 25 (fun _ -> Rng.next rng) in
+  let oracle = Array.copy start in
+  for _ = 1 to 1_000 do
+    Keccak.keccak_f1600 oracle
+  done;
+  List.iter
+    (fun m ->
+      let st = Fv.of_array start in
+      Native.with_mode m (fun () ->
+          for _ = 1 to 1_000 do
+            Native.f1600_off st 0
+          done);
+      Array.iteri
+        (fun i expected ->
+          Alcotest.(check int64)
+            (Printf.sprintf "f1600 x1000 lane=%d [%s]" i (Native.mode_to_string m))
+            expected (Fv.get st i))
+        oracle)
+    [ Native.Scalar; Native.Simd ]
 
 (* Column sponges driven through irregular absorb chunks (splitting rows at
    non-multiples of the 17-lane rate and columns mid-range) over a
@@ -468,6 +503,7 @@ let suite =
     Alcotest.test_case "hash_gf/hash_fv/hash2/pairs across modes" `Quick test_hash_entry_points;
     Alcotest.test_case "hash_matrix_cols across modes" `Quick test_hash_matrix_cols;
     Alcotest.test_case "f1600_off offset torture" `Quick test_f1600_off_torture;
+    Alcotest.test_case "f1600 1000 chained permutations" `Quick test_f1600_chained;
     Alcotest.test_case "Col_hash chunked absorb torture" `Quick test_col_hash_torture;
     Alcotest.test_case "proof bytes invariant: modes x domains" `Quick test_proof_bytes_invariant;
   ]
