@@ -20,20 +20,45 @@ open Nocap_repro
 
 let wall () = Unix.gettimeofday ()
 
-(* Best-of-r wall time: robust to scheduler noise without needing a long
-   quota like Bechamel's OLS. *)
-let time_best ~reps f =
-  (* Start each measurement from a settled heap so a major GC triggered by
-     the previous configuration is not charged to this one. *)
+let time_once f =
+  let t0 = wall () in
+  ignore (Sys.opaque_identity (f ()));
+  wall () -. t0
+
+let median xs =
+  let a = Array.copy xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* Median-of-r wall time: robust to scheduler noise without needing a long
+   quota like Bechamel's OLS. Each measurement starts from a settled heap
+   so a major GC triggered by the previous configuration is not charged to
+   this one. *)
+let time_median ~reps f =
   Gc.major ();
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = wall () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = wall () -. t0 in
-    if dt < !best then best := dt
+  median (Array.init reps (fun _ -> time_once f))
+
+(* Two timed runs [f] and [g] (each returning its own seconds) over [reps]
+   interleaved rounds, alternating which goes first: the median time of
+   each side and the median of the per-round ratios f/g. Adjacent runs see
+   the same host load, so the ratio stays put when another build job
+   makes a share of the rounds slow — a share that can flip either side's
+   own median from the fast to the slow mode. *)
+let time_paired ~reps f g =
+  Gc.major ();
+  let a = Array.make reps 0.0 and b = Array.make reps 0.0 in
+  for i = 0 to reps - 1 do
+    if i mod 2 = 0 then begin
+      a.(i) <- f ();
+      b.(i) <- g ()
+    end
+    else begin
+      b.(i) <- g ();
+      a.(i) <- f ()
+    end
   done;
-  !best
+  (median a, median b, median (Array.mapi (fun i x -> x /. b.(i)) a))
 
 type kernel = {
   k_name : string;
@@ -176,20 +201,39 @@ let measure ~smoke kernel =
   let reps = if smoke then 3 else 5 in
   (* Warm-up run (also the cross-domain-count reference fingerprint) so the
      serial baseline is not charged for plan/page/GC warm-up. *)
-  let reference = Pool.with_domains 1 kernel.k_run in
-  let serial_seconds =
-    Pool.with_domains 1 (fun () -> time_best ~reps kernel.k_run)
+  let warm = ref 0.0 in
+  let reference =
+    Pool.with_domains 1 (fun () ->
+        let t0 = wall () in
+        let fp = kernel.k_run () in
+        warm := wall () -. t0;
+        fp)
+  in
+  (* At least 7 interleaved rounds, and enough (odd, capped) that each side
+     of the 1-domain pin runs for ~100 ms: single runs of the smaller
+     kernels spread by tens of percent while other jobs share the host. *)
+  let pin_reps = max 7 (min 255 (int_of_float (0.1 /. !warm))) lor 1 in
+  let check d =
+    if not (String.equal (Pool.with_domains d kernel.k_run) reference) then
+      failwith (Printf.sprintf "bench parallel: %s diverged at %d domains" kernel.k_name d)
+  in
+  (* The serial baseline and the 1-domain row run the same code, so they
+     are timed interleaved and the 1-domain speedup (what the pin checks)
+     is the median of the paired ratios: noise hits both sides alike
+     instead of deciding the ratio. *)
+  let timed_1d () = Pool.with_domains 1 (fun () -> time_once kernel.k_run) in
+  let serial_seconds, one_domain, one_domain_speedup =
+    time_paired ~reps:pin_reps timed_1d timed_1d
   in
   let timings =
     List.map
       (fun d ->
-        Pool.with_domains d (fun () ->
-            let fp = kernel.k_run () in
-            if not (String.equal fp reference) then
-              failwith
-                (Printf.sprintf "bench parallel: %s diverged at %d domains" kernel.k_name d);
-            let seconds = time_best ~reps kernel.k_run in
-            { domains = d; seconds; speedup = serial_seconds /. seconds }))
+        if d = 1 then { domains = 1; seconds = one_domain; speedup = one_domain_speedup }
+        else begin
+          check d;
+          let seconds = Pool.with_domains d (fun () -> time_median ~reps kernel.k_run) in
+          { domains = d; seconds; speedup = serial_seconds /. seconds }
+        end)
       (domain_counts ())
   in
   { kernel; serial_seconds; timings }
@@ -327,8 +371,8 @@ let validate_schema (s : string) : (unit, string) result =
 let dispatch_ceiling_seconds = 0.005
 
 (* A 1-domain pool must run the same code the serial path runs (modulo
-   dispatch); a kernel slowing down >10% there means the runtime is taxing
-   single-core users. *)
+   dispatch); a kernel slowing down >10% there — by the median paired
+   ratio of [measure] — means the runtime is taxing single-core users. *)
 let one_domain_floor = 0.9
 
 let assert_smoke ~dispatch rows =

@@ -406,7 +406,7 @@ let run ?(smoke = false) ?(path = "BENCH_stream.json") () =
            Printf.sprintf "%dM" (s.s_in_memory.peak_rss_kb / 1024);
          ])
        sumchecks);
-  (* Hard gates: every streaming proof must match its in-memory oracle, and
+  (* Hard gates: every streaming proof must match the unbudgeted one, and
      the flagship smoke entry (orion @ 2^16 constraints, 1 MiB budget) must
      actually have spilled. *)
   List.iter

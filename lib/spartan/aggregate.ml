@@ -51,24 +51,37 @@ let prove ?engine ?rng params inst assignments =
   let rng = Zk_pcs.Engine.rng ~seed:0xA66_CAFEL ?rng engine in
   let k = Array.length assignments in
   if k = 0 then invalid_arg "Aggregate.prove: empty batch";
-  Array.iter
-    (fun asn ->
-      if not (R1cs.satisfied inst asn) then
-        invalid_arg "Aggregate.prove: unsatisfied assignment in batch")
-    assignments;
   let ios = Array.map (R1cs.public_io inst) assignments in
-  let transcript = start_transcript params inst ios in
-  let l = inst.R1cs.log_size in
-  let committed_and_cm =
-    Array.map
-      (fun asn -> Orion.commit ~engine params.Spartan.pcs rng asn.R1cs.w)
-      assignments
-  in
-  Array.iter (fun (_, cm) -> Orion.absorb_commitment transcript cm) committed_and_cm;
   let zs = Array.map (R1cs.z inst) assignments in
   let az = Array.map (Sparse.spmv inst.R1cs.a) zs in
   let bz = Array.map (Sparse.spmv inst.R1cs.b) zs in
   let cz = Array.map (Sparse.spmv inst.R1cs.c) zs in
+  (* Satisfiability is checked on the vectors the sumchecks use, before
+     any commitment work. *)
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun y ay ->
+          if not (Gf.equal (Gf.mul ay bz.(i).(y)) cz.(i).(y)) then
+            invalid_arg "Aggregate.prove: unsatisfied assignment in batch")
+        a)
+    az;
+  let transcript = start_transcript params inst ios in
+  let l = inst.R1cs.log_size in
+  (* Every exit — success, cancellation, a fault mid-batch — releases the
+     commitments made so far (under a stream budget each one holds a
+     spill file). *)
+  let committed = ref [] in
+  Fun.protect ~finally:(fun () -> List.iter Orion.free_committed !committed) @@ fun () ->
+  let committed_and_cm =
+    Array.map
+      (fun asn ->
+        let c, cm = Orion.commit ~engine params.Spartan.pcs rng asn.R1cs.w in
+        committed := c :: !committed;
+        (c, cm))
+      assignments
+  in
+  Array.iter (fun (_, cm) -> Orion.absorb_commitment transcript cm) committed_and_cm;
   let reps =
     Array.init params.Spartan.repetitions (fun _ ->
         let rho = Transcript.challenge_gf_vec transcript "rho" k in

@@ -69,6 +69,50 @@ let comb1 v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
 (* comb for sumcheck #2: m * z, degree 2. *)
 let comb2 v = Gf.mul v.(0) v.(1)
 
+(* Fills [dst] (length 2^|vars|) with [c * eq(vars, b)], variable 0 the
+   most significant bit of b: each variable, last to first, splits the
+   table into its (1 - r) and r halves. Field arithmetic is exact, so
+   with [c] the eq factor of the variables in front of [vars] this is
+   bit-identical to the matching block of Mle.eq_table. *)
+let eq_fill dst c vars =
+  Fv.set dst 0 c;
+  let size = ref 1 in
+  for i = Array.length vars - 1 downto 0 do
+    let lo = Fv.sub_view dst ~pos:0 ~len:!size in
+    Fv.scale_into ~dst:(Fv.sub_view dst ~pos:!size ~len:!size) lo vars.(i);
+    Fv.scale_into ~dst:lo lo (Gf.sub Gf.one vars.(i));
+    size := 2 * !size
+  done
+
+(* Fills [s] block by block: [f ~pos dst] writes elements
+   [pos, pos + length dst) into [dst] — a view of the vector itself when
+   it is RAM-backed, of the prover's one staging block (written out after
+   [f]) when it is spilled. *)
+let fill_blocks s ~stage ~block f =
+  let n = Spill.length s in
+  let spilled = Spill.is_spilled s in
+  let buf = if spilled then stage else Spill.as_fv s in
+  let pos = ref 0 in
+  while !pos < n do
+    Pool.Cancel.check ();
+    let len = min block (n - !pos) in
+    let dst = Fv.sub_view buf ~pos:(if spilled then 0 else !pos) ~len in
+    f ~pos:!pos dst;
+    if spilled then Spill.write s ~pos:!pos dst;
+    pos := !pos + len
+  done
+
+(* Writes a boxed block into [s] at [pos]: straight into the vector when
+   it is RAM-backed, through the staging block when it is spilled. *)
+let store s ~stage ~pos blk =
+  let len = Array.length blk in
+  if Spill.is_spilled s then begin
+    let dst = Fv.sub_view stage ~pos:0 ~len in
+    Fv.write_array blk ~src_pos:0 dst ~dst_pos:0 ~len;
+    Spill.write s ~pos dst
+  end
+  else Fv.write_array blk ~src_pos:0 (Spill.as_fv s) ~dst_pos:pos ~len
+
 module type S = sig
   module P : Zk_pcs.Pcs.S
 
@@ -159,112 +203,40 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     Transcript.absorb_gf t "io" io;
     t
 
-  let prove_in_memory ~engine ~rng params inst asn =
-    if not (R1cs.satisfied inst asn) then
-      invalid_arg "Spartan.prove: assignment does not satisfy the instance";
-    let io = R1cs.public_io inst asn in
-    let transcript = start_transcript params inst io in
-    let l = inst.R1cs.log_size in
-    (* Commit to the witness half. *)
-    let committed, w_commitment = P.commit ~engine params.pcs rng asn.R1cs.w in
-    (* Cancellation or a worker crash mid-proof must still release the PCS
-       working set (spill files); free_committed is idempotent, so this
-       backstop composes with the deterministic free on the normal path. *)
-    Fun.protect ~finally:(fun () -> P.free_committed committed) @@ fun () ->
-    P.absorb_commitment transcript w_commitment;
-    let zv = R1cs.z inst asn in
-    let az = Sparse.spmv inst.R1cs.a zv in
-    let bz = Sparse.spmv inst.R1cs.b zv in
-    let cz = Sparse.spmv inst.R1cs.c zv in
-    let spmv_mults = ref (R1cs.nnz inst) in
-    let sc_mults = ref 0 and sc_adds = ref 0 in
-    let reps =
-      Array.init params.repetitions (fun _ ->
-          (* --- Sumcheck #1 --- *)
-          let tau = Transcript.challenge_gf_vec transcript "tau" l in
-          let eq_tau = Mle.eq_table tau in
-          let r1 =
-            Sumcheck.prove ~engine ~comb_mults:2 transcript ~degree:3
-              ~tables:[| eq_tau; az; bz; cz |]
-              ~comb:comb1 ~claim:Gf.zero
-          in
-          sc_mults := !sc_mults + r1.Sumcheck.stats.Sumcheck.mults;
-          sc_adds := !sc_adds + r1.Sumcheck.stats.Sumcheck.adds;
-          let rx = r1.Sumcheck.challenges in
-          let va = r1.Sumcheck.final_values.(1) in
-          let vb = r1.Sumcheck.final_values.(2) in
-          let vc = r1.Sumcheck.final_values.(3) in
-          Transcript.absorb_gf transcript "claims-abc" [| va; vb; vc |];
-          (* --- Sumcheck #2 --- *)
-          let r_abc = Transcript.challenge_gf_vec transcript "r-abc" 3 in
-          let claim2 =
-            Gf.add
-              (Gf.mul r_abc.(0) va)
-              (Gf.add (Gf.mul r_abc.(1) vb) (Gf.mul r_abc.(2) vc))
-          in
-          let eq_rx = Mle.eq_table rx in
-          let m_table =
-            let ta = Sparse.spmv_transpose inst.R1cs.a eq_rx in
-            let tb = Sparse.spmv_transpose inst.R1cs.b eq_rx in
-            let tc = Sparse.spmv_transpose inst.R1cs.c eq_rx in
-            spmv_mults := !spmv_mults + R1cs.nnz inst;
-            Array.init (R1cs.size inst) (fun y ->
-                Gf.add
-                  (Gf.mul r_abc.(0) ta.(y))
-                  (Gf.add (Gf.mul r_abc.(1) tb.(y)) (Gf.mul r_abc.(2) tc.(y))))
-          in
-          let r2 =
-            Sumcheck.prove ~engine ~comb_mults:1 transcript ~degree:2
-              ~tables:[| m_table; zv |] ~comb:comb2 ~claim:claim2
-          in
-          sc_mults := !sc_mults + r2.Sumcheck.stats.Sumcheck.mults;
-          sc_adds := !sc_adds + r2.Sumcheck.stats.Sumcheck.adds;
-          let ry = r2.Sumcheck.challenges in
-          (* Open w~ at ry minus the top variable. *)
-          let ry_rest = Array.sub ry 1 (l - 1) in
-          let vw, w_open = P.open_at ~engine params.pcs committed transcript ry_rest in
-          Transcript.absorb_gf transcript "vw" [| vw |];
-          { sc1 = r1.Sumcheck.proof; va; vb; vc; sc2 = r2.Sumcheck.proof; vw; w_open })
-    in
-    P.free_committed committed;
-    let stats =
-      {
-        sumcheck_mults = !sc_mults;
-        sumcheck_adds = !sc_adds;
-        spmv_mults = !spmv_mults;
-        transcript_hashes = Transcript.hash_count transcript;
-      }
-    in
-    Engine.emit engine "spartan/sumcheck_mults" (float_of_int stats.sumcheck_mults);
-    Engine.emit engine "spartan/spmv_mults" (float_of_int stats.spmv_mults);
-    Engine.emit engine "spartan/transcript_hashes"
-      (float_of_int stats.transcript_hashes);
-    Engine.finish_entry engine;
-    ({ w_commitment; reps }, stats)
-
-  (* The bounded-memory prover: same transcript traffic, same RNG draws,
-     same arithmetic — so the proof bytes are identical to
-     {!prove_in_memory} — but every full-length intermediate (Az/Bz/Cz,
-     the eq tables, the M~ table, the sumcheck generations, the PCS
-     working set) lives in spill files touched one block at a time. The
-     only full-length residents are the caller-owned assignment and the
-     flat 8-byte/element wire vector z. *)
-  let prove_streaming ~engine ~rng ~budget params inst asn =
+  (* The prover: one blocked pipeline for every memory budget. Every
+     full-length intermediate (Az/Bz/Cz, the eq tables, the M~ table) is a
+     Spill vector produced block by block, and both sumchecks run through
+     Sumcheck.prove_streaming. Without a budget the vectors are RAM-backed
+     and each is produced in one block; under a budget they live in spill
+     files touched one block at a time, as do the sumcheck generations and
+     the PCS working set, and the only full-length residents are the
+     caller-owned assignment and the flat 8-byte/element wire vector z.
+     Goldilocks arithmetic is exact, so the proof bytes are the same for
+     every budget. *)
+  let prove ?engine ?rng params inst asn =
+    let engine = Engine.resolve engine in
+    let rng = Engine.rng ~seed:0x5EED_CAFEL ?rng engine in
+    let budget = Engine.stream_budget_bytes engine in
+    let spill = Option.is_some budget in
     let io = R1cs.public_io inst asn in
     let l = inst.R1cs.log_size in
     let n = R1cs.size inst in
-    let block = max 1024 (budget / (8 * 8)) in
+    let block = match budget with None -> n | Some b -> max 1024 (b / (8 * 8)) in
+    (* Spilled vectors are produced through one reused staging block, so
+       no block-sized buffer is allocated (and left for the GC) per use. *)
+    let stage = Fv.create (if spill then min block n else 0) in
     (* z as a flat vector (validates the assignment shape like R1cs.z). *)
     let zfv = Fv.create n in
     R1cs.iter_z_blocks inst asn ~block (fun ~pos slice ->
         Fv.write_array slice ~src_pos:0 zfv ~dst_pos:pos ~len:(Array.length slice));
-    let zf j = Fv.get zfv j in
-    (* Row-blocked Az/Bz/Cz: each block is checked for satisfiability and
-       spilled; the three dense vectors never coexist in RAM. Raises before
-       any commitment work, like the in-memory path. *)
-    let az = Spill.create ~tag:"spartan-az" ~spill:true n in
-    let bz = Spill.create ~tag:"spartan-bz" ~spill:true n in
-    let cz = Spill.create ~tag:"spartan-cz" ~spill:true n in
+    let half = n / 2 in
+    let zf j = if j < half then asn.R1cs.w.(j) else asn.R1cs.io.(j - half) in
+    (* Row-blocked Az/Bz/Cz, checked for satisfiability as they are
+       produced; under a budget the three dense vectors never coexist in
+       RAM. Raises before any commitment work. *)
+    let az = Spill.create ~tag:"spartan-az" ~spill n in
+    let bz = Spill.create ~tag:"spartan-bz" ~spill n in
+    let cz = Spill.create ~tag:"spartan-cz" ~spill n in
     (* Every exit — success, unsatisfiable assignment, cancellation, an
        injected I/O fault — releases the spilled vectors deterministically;
        Spill.free is idempotent so this composes with the normal-path
@@ -286,41 +258,37 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
         if not (Gf.equal (Gf.mul ab.(i) bb.(i)) cb.(i)) then
           invalid_arg "Spartan.prove: assignment does not satisfy the instance"
       done;
-      Spill.write az ~pos:!r (Fv.of_array ab);
-      Spill.write bz ~pos:!r (Fv.of_array bb);
-      Spill.write cz ~pos:!r (Fv.of_array cb);
+      store az ~stage ~pos:!r ab;
+      store bz ~stage ~pos:!r bb;
+      store cz ~stage ~pos:!r cb;
       r := hi
     done;
     let transcript = start_transcript params inst io in
     (* Commit to the witness half; the engine budget routes the backend to
-       its own out-of-core commit. *)
+       its own out-of-core commit. Cancellation or a worker crash mid-proof
+       must still release the PCS working set (spill files);
+       free_committed is idempotent, so this backstop composes with the
+       deterministic free on the normal path. *)
     let committed, w_commitment = P.commit ~engine params.pcs rng asn.R1cs.w in
     Fun.protect ~finally:(fun () -> P.free_committed committed) @@ fun () ->
     P.absorb_commitment transcript w_commitment;
     let spmv_mults = ref (R1cs.nnz inst) in
     let sc_mults = ref 0 and sc_adds = ref 0 in
     let z_spill = Spill.of_fv zfv in
-    (* Spilled eq table, generated block-by-block via the aligned-range
-       factorization (bit-identical to Mle.eq_table). *)
+    (* The eq table at [point], generated in aligned power-of-two blocks. *)
     let spill_eq tag point =
-      let len = 1 lsl Array.length point in
-      let s = Spill.create ~tag ~spill:true len in
-      let eb =
-        let b = min block len in
-        let p = ref 1 in
-        while !p * 2 <= b do
-          p := !p * 2
-        done;
-        !p
-      in
-      let pos = ref 0 in
+      let l = Array.length point in
+      let len = 1 lsl l in
+      let low = ref 0 in
+      while 1 lsl (!low + 1) <= min block len do
+        incr low
+      done;
+      let eb = 1 lsl !low and high = l - !low in
+      let prefix = Array.sub point 0 high and suffix = Array.sub point high !low in
+      let s = Spill.create ~tag ~spill len in
       (try
-         while !pos < len do
-           Pool.Cancel.check ();
-           Spill.write s ~pos:!pos
-             (Fv.of_array (Mle.eq_table_range point ~lo:!pos ~len:eb));
-           pos := !pos + eb
-         done
+         fill_blocks s ~stage ~block:eb (fun ~pos dst ->
+             eq_fill dst (Mle.eq_table_range prefix ~lo:(pos / eb) ~len:1).(0) suffix)
        with e ->
          Spill.free s;
          raise e);
@@ -333,7 +301,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           let eq_tau = spill_eq "spartan-eqtau" tau in
           let r1 =
             Fun.protect ~finally:(fun () -> Spill.free eq_tau) @@ fun () ->
-            Sumcheck.prove_streaming ~engine ~comb_mults:2 ~budget_bytes:budget
+            Sumcheck.prove_streaming ~engine ~comb_mults:2 ?budget_bytes:budget
               transcript ~degree:3
               ~tables:[| eq_tau; az; bz; cz |]
               ~comb:comb1 ~claim:Gf.zero
@@ -356,7 +324,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           (* Column-blocked M~ table: the transpose SpMV scans the matrices
              once per window (window-sized accumulator), reading eq_rx
              through a sliding spill window. *)
-          let m_table = Spill.create ~tag:"spartan-m" ~spill:true n in
+          let m_table = Spill.create ~tag:"spartan-m" ~spill n in
           let r2 =
             Fun.protect
               ~finally:(fun () ->
@@ -365,28 +333,23 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
             @@ fun () ->
             let reader = Spill.Reader.create eq_rx in
             let y r = Spill.Reader.get reader r in
-            let c = ref 0 in
-            while !c < n do
-              Pool.Cancel.check ();
-              let hi = min n (!c + block) in
-              let ta = Sparse.spmv_transpose_range inst.R1cs.a ~y ~c_lo:!c ~c_hi:hi in
-              let tb = Sparse.spmv_transpose_range inst.R1cs.b ~y ~c_lo:!c ~c_hi:hi in
-              let tc = Sparse.spmv_transpose_range inst.R1cs.c ~y ~c_lo:!c ~c_hi:hi in
-              let blk =
-                Array.init (hi - !c) (fun i ->
-                    Gf.add
-                      (Gf.mul r_abc.(0) ta.(i))
-                      (Gf.add (Gf.mul r_abc.(1) tb.(i)) (Gf.mul r_abc.(2) tc.(i))))
-              in
-              Spill.write m_table ~pos:!c (Fv.of_array blk);
-              c := hi
-            done;
+            fill_blocks m_table ~stage ~block (fun ~pos dst ->
+                let c_hi = pos + Fv.length dst in
+                let ta = Sparse.spmv_transpose_range inst.R1cs.a ~y ~c_lo:pos ~c_hi in
+                let tb = Sparse.spmv_transpose_range inst.R1cs.b ~y ~c_lo:pos ~c_hi in
+                let tc = Sparse.spmv_transpose_range inst.R1cs.c ~y ~c_lo:pos ~c_hi in
+                for i = 0 to Fv.length dst - 1 do
+                  Fv.unsafe_set dst i
+                    (Gf.add
+                       (Gf.mul r_abc.(0) ta.(i))
+                       (Gf.add (Gf.mul r_abc.(1) tb.(i)) (Gf.mul r_abc.(2) tc.(i))))
+                done);
             spmv_mults := !spmv_mults + R1cs.nnz inst;
             (* eq_rx is only needed to build M~; free it before the second
                sumcheck so the two never coexist (the finally re-free is an
                idempotent no-op). *)
             Spill.free eq_rx;
-            Sumcheck.prove_streaming ~engine ~comb_mults:1 ~budget_bytes:budget
+            Sumcheck.prove_streaming ~engine ~comb_mults:1 ?budget_bytes:budget
               transcript ~degree:2
               ~tables:[| m_table; z_spill |]
               ~comb:comb2 ~claim:claim2
@@ -394,6 +357,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           sc_mults := !sc_mults + r2.Sumcheck.stats.Sumcheck.mults;
           sc_adds := !sc_adds + r2.Sumcheck.stats.Sumcheck.adds;
           let ry = r2.Sumcheck.challenges in
+          (* Open w~ at ry minus the top variable. *)
           let ry_rest = Array.sub ry 1 (l - 1) in
           let vw, w_open = P.open_at ~engine params.pcs committed transcript ry_rest in
           Transcript.absorb_gf transcript "vw" [| vw |];
@@ -417,13 +381,6 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
       (float_of_int stats.transcript_hashes);
     Engine.finish_entry engine;
     ({ w_commitment; reps }, stats)
-
-  let prove ?engine ?rng params inst asn =
-    let engine = Engine.resolve engine in
-    let rng = Engine.rng ~seed:0x5EED_CAFEL ?rng engine in
-    match Engine.stream_budget_bytes engine with
-    | None -> prove_in_memory ~engine ~rng params inst asn
-    | Some budget -> prove_streaming ~engine ~rng ~budget params inst asn
 
   let verify ?engine params inst ~io proof =
     let engine = Engine.resolve engine in

@@ -71,8 +71,12 @@ module type S = sig
     proof * prover_stats
   (** Produce a proof that the instance is satisfied by a witness whose public
       io the verifier will see. [rng] seeds the zk mask rows (it defaults to
-      the engine's RNG, or a fixed seed); [engine] supplies the worker pool
-      and trace sink — proof bytes are identical for every engine.
+      the engine's RNG, or a fixed seed); [engine] supplies the worker pool,
+      trace sink and stream budget — proof bytes are identical for every
+      engine. Without a budget every intermediate stays in RAM; with one
+      they live in spill files touched a block at a time. Satisfiability
+      is checked row by row while Az, Bz and Cz are computed, before any
+      commitment work.
       @raise Invalid_argument if the assignment does not satisfy the
       instance, or if [params.pcs] is invalid. *)
 

@@ -44,36 +44,38 @@ val prove :
   comb:(Gf.t array -> Gf.t) ->
   claim:Gf.t ->
   prover_result
-(** Runs the prover. [tables] are not mutated (they are copied once — into
-    unboxed {!Nocap_vec.Fv} vectors, so every round evaluation and table
-    fold runs over flat int64). [comb] receives one value per table;
-    [comb_mults] is the number of field multiplications one [comb] call
-    performs (default 0), so [stats] can account for them. The claim is
-    absorbed into the transcript, so prover and verifier bind to it.
-    [engine] supplies the worker pool for round evaluation and folds; the
-    proof is byte-identical for every engine. *)
+(** {!prove_streaming} without a budget, over boxed tables (wrapped as
+    RAM-backed {!Nocap_vec.Spill} vectors; they are not mutated). [comb]
+    receives one value per table; [comb_mults] is the number of field
+    multiplications one [comb] call performs (default 0), so [stats] can
+    account for them. The claim is absorbed into the transcript, so prover
+    and verifier bind to it. [engine] supplies the worker pool for round
+    evaluation and folds; the proof is byte-identical for every engine. *)
 
 val prove_streaming :
   ?engine:Zk_pcs.Engine.t ->
   ?comb_mults:int ->
-  budget_bytes:int ->
+  ?budget_bytes:int ->
   Zk_hash.Transcript.t ->
   degree:int ->
   tables:Nocap_vec.Spill.t array ->
   comb:(Gf.t array -> Gf.t) ->
   claim:Gf.t ->
   prover_result
-(** Bounded-memory prover over spillable tables (recompute-halves): no
-    folded table generation is ever stored. After j rounds the current
-    table is recomputed on the fly as an eq-weighted sum of strided slices
-    of the original, read in budget-sized blocks; once the shrinking
-    residual fits half the budget, the tables are materialized into RAM
-    and the standard loop finishes. Each streamed round costs one full
-    pass over the original tables. The result — proof bytes, challenges,
-    final values, stats — is identical to {!prove} on the same data for
-    every budget; the in-memory prover is the oracle the equivalence tests
-    pin this against. [tables] are read, never written; the caller frees
-    them. @raise Invalid_argument if [budget_bytes <= 0]. *)
+(** The sumcheck prover over spillable tables; arguments as in {!prove}.
+    Without [budget_bytes] the tables are copied once into unboxed
+    {!Nocap_vec.Fv} vectors and every round evaluates and folds them in
+    place. With a budget, rounds whose residual tables exceed half of it
+    are streamed (recompute-halves): no folded table generation is ever
+    stored — after j rounds the current table is recomputed on the fly as
+    an eq-weighted sum of strided slices of the original, read in
+    budget-sized blocks, at the cost of one full pass over the original
+    tables per streamed round. Once the residual fits half the budget it
+    is materialized into RAM and the in-place rounds finish. The result —
+    proof bytes, challenges, final values, stats — is the same for every
+    budget, and equal to {!prove_arrays} on the same data. [tables] are
+    read, never written; the caller frees them.
+    @raise Invalid_argument if [budget_bytes <= 0]. *)
 
 val prove_arrays :
   ?engine:Zk_pcs.Engine.t ->
@@ -84,9 +86,11 @@ val prove_arrays :
   comb:(Gf.t array -> Gf.t) ->
   claim:Gf.t ->
   prover_result
-(** Boxed-array reference implementation of {!prove}: same chunking, same
-    combine order, same arithmetic, byte-identical proof and challenges.
-    Kept as the correctness oracle the equivalence tests compare against. *)
+(** Boxed-array reference implementation of {!prove_streaming}, written
+    independently of it: same chunking, same combine order, same
+    arithmetic, byte-identical proof and challenges. Kept as the
+    correctness oracle the equivalence tests and the memory bench compare
+    against. *)
 
 type verifier_result = {
   point : Gf.t array;

@@ -282,6 +282,31 @@ let test_batch_unsatisfied_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_batch_budget_frees_spill_files () =
+  (* Under a stream budget every per-assignment Orion commitment holds a
+     spill file; the batch prover must release them all when it returns,
+     not when the GC gets round to them. *)
+  let inst, asn = Synthetic.circuit ~n_constraints:150 ~seed:96L () in
+  let engine = Zk_pcs.Engine.create ~stream_budget_bytes:4096 () in
+  let baseline = Nocap_vec.Spill.live_files () in
+  let assignments = Array.make 3 asn in
+  let proof = Aggregate.prove ~engine Spartan.test_params inst assignments in
+  Alcotest.(check int) "spill files after a batch proof" baseline
+    (Nocap_vec.Spill.live_files ());
+  let ios = Array.map (R1cs.public_io inst) assignments in
+  (match Aggregate.verify Spartan.test_params inst ~ios proof with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "budgeted batch rejected: %s" (Zk_pcs.Verify_error.to_string e));
+  let bad = { R1cs.w = Array.copy asn.R1cs.w; io = asn.R1cs.io } in
+  bad.R1cs.w.(0) <- Gf.add bad.R1cs.w.(0) Gf.one;
+  Alcotest.(check bool) "unsatisfied batch raises" true
+    (try
+       ignore (Aggregate.prove ~engine Spartan.test_params inst [| asn; bad |]);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "spill files after a rejected batch" baseline
+    (Nocap_vec.Spill.live_files ())
+
 let test_batch_amortization () =
   (* The batch proof must be much smaller than k separate proofs: sumchecks
      and challenge schedules are shared. *)
@@ -387,6 +412,8 @@ let suite =
     Alcotest.test_case "batch distinct witnesses" `Quick test_batch_distinct_witnesses;
     Alcotest.test_case "batch unsatisfied rejected" `Quick test_batch_unsatisfied_rejected;
     Alcotest.test_case "batch amortization" `Quick test_batch_amortization;
+    Alcotest.test_case "batch under a budget frees its spill files" `Quick
+      test_batch_budget_frees_spill_files;
     Alcotest.test_case "streams preserve schedule" `Quick test_streams_preserve_schedule;
     Alcotest.test_case "streams code size" `Quick test_streams_code_size;
     Alcotest.test_case "four-step NTT kernel" `Quick test_four_step_kernel;

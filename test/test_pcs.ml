@@ -1,7 +1,7 @@
 (* The backend-pluggable proving engine: PCS interface conformance on both
-   backends, golden proof bytes for the default (Orion) backend across
-   domain counts, engine-context invariance, the tagged serialization
-   format, and the Engine.Config environment parsing. *)
+   backends, golden proof bytes for both backends across native modes,
+   domain counts and stream budgets, engine-context invariance, the tagged
+   serialization format, and the Engine.Config environment parsing. *)
 
 module Gf = Zk_field.Gf
 module Rng = Zk_util.Rng
@@ -9,6 +9,7 @@ module Keccak = Zk_hash.Keccak
 module Transcript = Zk_hash.Transcript
 module Mle = Zk_poly.Mle
 module Pool = Nocap_parallel.Pool
+module Native = Nocap_native.Native
 module R1cs = Zk_r1cs.R1cs
 module Engine = Zk_pcs.Engine
 module Orion = Zk_orion.Orion
@@ -21,8 +22,8 @@ module Synthetic = Zk_workloads.Synthetic
 (* Spartan over the second backend — the whole point of the functor. *)
 module Spartan_fri = Zk_spartan.Spartan.Make (Zk_orion.Fri_pcs)
 
-(* --- golden proof bytes: the refactor must not move a single byte of the
-   default backend's proofs, under any domain count --- *)
+(* --- golden proof bytes: the refactor must not move a single byte of
+   either backend's proofs, under any domain count or stream budget --- *)
 
 (* sha3 over the payload after the 9-byte header (8-byte magic + tag); the
    hashes were captured from the pre-functor prover over the payload after
@@ -41,20 +42,47 @@ let golden_cases =
       "26b9a4d0a445c7e4aa346b7179d96fb4fc30d0051fd97d90a6a7b35803667363" );
   ]
 
+(* The FRI backend's golden, captured from the prover before the in-memory
+   and budgeted paths shared one body. *)
+let fri_golden =
+  ("fri-synthetic-2000", 2000, 42L,
+   "bd7e89dccd6a7c76784b06fca6c808cabc2d38fabee2bb160cf798ea1e0bb670")
+
+(* Each golden is reproduced in every NOCAP_NATIVE mode, at every domain
+   count and, under a 2 KiB and a 64 KiB stream budget, by the blocked
+   spill path too: one prover body serves every budget, so the goldens are
+   its oracle in both memory modes. *)
+let check_golden name expected prove =
+  List.iter
+    (fun mode ->
+      Native.with_mode mode (fun () ->
+          List.iter
+            (fun d ->
+              Pool.with_domains d (fun () ->
+                  List.iter
+                    (fun budget ->
+                      let engine = Engine.create ?stream_budget_bytes:budget () in
+                      Alcotest.(check string)
+                        (Printf.sprintf "%s, native %s, %d domains, budget %s" name
+                           (Native.mode_to_string mode) d
+                           (Option.fold ~none:"none" ~some:string_of_int budget))
+                        expected (payload_hash (prove engine)))
+                    [ None; Some 2048; Some 65536 ]))
+            [ 1; 2; 3 ]))
+    Native.[ Off; Scalar; Simd ]
+
 let test_golden_bytes () =
   List.iter
     (fun (name, n, seed, params, expected) ->
       let inst, asn = Synthetic.circuit ~n_constraints:n ~seed () in
-      List.iter
-        (fun d ->
-          Pool.with_domains d (fun () ->
-              let proof, _ = Spartan.prove params inst asn in
-              Alcotest.(check string)
-                (Printf.sprintf "%s at %d domains" name d)
-                expected
-                (payload_hash (Spartan.proof_to_bytes proof))))
-        [ 1; 2; 3 ])
-    golden_cases
+      check_golden name expected (fun engine ->
+          Spartan.proof_to_bytes (fst (Spartan.prove ~engine params inst asn))))
+    golden_cases;
+  let name, n, seed, expected = fri_golden in
+  let inst, asn = Synthetic.circuit ~n_constraints:n ~seed () in
+  check_golden name expected (fun engine ->
+      Spartan_fri.proof_to_bytes
+        (fst (Spartan_fri.prove ~engine Spartan_fri.test_params inst asn)))
 
 (* --- engine-context invariance: pools and trace sinks schedule and
    observe, they never change bytes --- *)

@@ -1,14 +1,16 @@
-(* The streaming out-of-core prover pinned against the in-memory oracle.
+(* The streaming out-of-core prover pinned against in-memory oracles.
 
    Every streaming component — spill files, blocked eq tables, ranged
    SpMV, chunked witness emission, the incremental Merkle builder, the
    recompute-halves sumcheck, the out-of-core PCS commits/openings, and
    the end-to-end Spartan pipeline — must be *byte-identical* to its
-   in-memory counterpart: Goldilocks ops are exact and canonical, so any
-   algebraically equal evaluation order yields the same bits, the same
-   transcripts, the same proofs. The suite runs under every NOCAP_NATIVE
-   mode via the runtest matrix in test/dune, and the Spartan equivalence
-   sweeps domain counts 1/2/3. *)
+   in-memory counterpart (for the sumcheck, the independent boxed
+   prove_arrays; for Spartan, whose budgeted and unbudgeted runs share
+   one body, also the goldens in test_pcs): Goldilocks ops are exact and
+   canonical, so any algebraically equal evaluation order yields the
+   same bits, the same transcripts, the same proofs. The suite runs under
+   every NOCAP_NATIVE mode via the runtest matrix in test/dune, and the
+   Spartan equivalence sweeps domain counts 1/2/3. *)
 
 module Gf = Zk_field.Gf
 module Fv = Nocap_vec.Fv
@@ -301,6 +303,10 @@ let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~comb_mults ~budget seed =
     done;
     !acc
   in
+  (* prove and prove_streaming share one round engine, so the boxed
+     prove_arrays — written independently — is the oracle for both. *)
+  let t0 = Transcript.create "stream-test" in
+  let oracle = Sumcheck.prove_arrays ~comb_mults t0 ~degree ~tables ~comb ~claim in
   let t1 = Transcript.create "stream-test" in
   let reference =
     Sumcheck.prove ~comb_mults t1 ~degree ~tables ~comb ~claim
@@ -312,12 +318,14 @@ let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~comb_mults ~budget seed =
       ~tables:spills ~comb ~claim
   in
   let msg = Printf.sprintf "l=%d budget=%d" l budget in
-  check_sumcheck_equal msg reference streamed;
+  check_sumcheck_equal (msg ^ " (prove)") oracle reference;
+  check_sumcheck_equal msg oracle streamed;
   (* the transcripts must have ended in the same state *)
+  let after = Array.map (fun t -> Transcript.challenge_gf t "after") [| t0; t1; t2 |] in
   Alcotest.(check bool)
     (msg ^ ": transcript state")
     true
-    (Gf.equal (Transcript.challenge_gf t1 "after") (Transcript.challenge_gf t2 "after"))
+    (Gf.equal after.(0) after.(1) && Gf.equal after.(0) after.(2))
 
 let test_sumcheck_streaming () =
   (* budgets chosen to force: never spills (huge), spills the first round
@@ -346,6 +354,10 @@ let test_sumcheck_spilled_tables () =
     done;
     !acc
   in
+  let t0 = Transcript.create "stream-test" in
+  let oracle =
+    Sumcheck.prove_arrays ~comb_mults:1 t0 ~degree:2 ~tables ~comb:comb2 ~claim
+  in
   let t1 = Transcript.create "stream-test" in
   let reference = Sumcheck.prove ~comb_mults:1 t1 ~degree:2 ~tables ~comb:comb2 ~claim in
   let t2 = Transcript.create "stream-test" in
@@ -362,7 +374,8 @@ let test_sumcheck_spilled_tables () =
       ~tables:spills ~comb:comb2 ~claim
   in
   Array.iter Spill.free spills;
-  check_sumcheck_equal "spilled tables" reference streamed
+  check_sumcheck_equal "in-RAM tables" oracle reference;
+  check_sumcheck_equal "spilled tables" oracle streamed
 
 (* --- out-of-core PCS commits and openings ------------------------------- *)
 
