@@ -125,14 +125,15 @@ let kernels ~smoke rng =
   (* Full sumcheck prover: boxed reference vs. unboxed production path. *)
   let sc_n = scale (1 lsl 14) (1 lsl 8) in
   let sc_tables = Array.init 4 (fun _ -> Array.init sc_n (fun _ -> Gf.random rng)) in
-  let sc_comb v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3)) in
+  let sc_comb = Spartan.sumcheck1_comb in
   let sc_claim =
     let acc = ref Gf.zero in
     for b = 0 to sc_n - 1 do
-      acc := Gf.add !acc (sc_comb (Array.map (fun t -> t.(b)) sc_tables))
+      acc := Gf.add !acc (Sumcheck.Comb.eval sc_comb (Array.map (fun t -> t.(b)) sc_tables))
     done;
     !acc
   in
+  let sc_spills = Array.map Spill.of_array sc_tables in
   (* Orion commit (zk off so both sides are deterministic): production
      flat commit vs. the same pipeline assembled from the boxed entry
      points. *)
@@ -221,16 +222,15 @@ let kernels ~smoke rng =
         (fun () ->
           let t = Transcript.create "bench-memory" in
           let r =
-            Sumcheck.prove_arrays ~comb_mults:2 t ~degree:3 ~tables:sc_tables ~comb:sc_comb
-              ~claim:sc_claim
+            Sumcheck.prove_arrays ~comb_mults:(Sumcheck.Comb.mults sc_comb) t ~degree:3
+              ~tables:sc_tables ~comb:(Sumcheck.Comb.eval sc_comb) ~claim:sc_claim
           in
           Gf.to_string r.Sumcheck.challenges.(Array.length r.Sumcheck.challenges - 1));
       k_unboxed =
         (fun () ->
           let t = Transcript.create "bench-memory" in
           let r =
-            Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:sc_tables ~comb:sc_comb
-              ~claim:sc_claim
+            Sumcheck.prove_comb t ~degree:3 ~tables:sc_spills ~comb:sc_comb ~claim:sc_claim
           in
           Gf.to_string r.Sumcheck.challenges.(Array.length r.Sumcheck.challenges - 1));
     };
@@ -402,6 +402,16 @@ let run ?(smoke = false) ?(path = "BENCH_memory.json") () =
       (fun r -> Printf.eprintf "bench memory: %s boxed/unboxed diverged\n%!" r.kernel.k_name)
       bad;
     exit 1);
+  (* The sumcheck prover's allocation bar, checked where the Gf
+     primitives inline (the probe reads ~0 words/elem): at most one word
+     per table element, at full size. *)
+  (if (not smoke) && probe < 0.5 then
+     match List.find_opt (fun r -> r.kernel.k_name = "sumcheck-prove") rows with
+     | Some r when allocated r.unboxed /. float_of_int r.kernel.k_n > 1.0 ->
+       Printf.eprintf "bench memory: sumcheck-prove allocates %.2f words/elem (> 1)\n%!"
+         (allocated r.unboxed /. float_of_int r.kernel.k_n);
+       exit 1
+     | _ -> ());
   let peak_rss_kb, rss_source = Rss.peak_rss_kb () in
   Printf.printf "peak RSS: %d KiB (probe: %s)\n%!" peak_rss_kb rss_source;
   let json = json_of_rows ~probe ~peak_rss_kb ~rss_source rows in

@@ -13,7 +13,12 @@
    The three modes are timed over the same preallocated inputs, so the
    ratios isolate the kernel swap itself. On a machine without AVX2/NEON the
    Simd rows degrade to the scalar C bodies and speedup_simd ~= speedup_scalar;
-   the "features" field in the JSON records which case a given report is. *)
+   the "features" field in the JSON records which case a given report is.
+
+   The sumcheck-round rows time one fused round of the sumcheck prover
+   (fold with the previous challenge, then evaluate the round polynomial)
+   through [Sumcheck.round_step]; the full run requires simd >= 3x and
+   scalar >= 1.5x over the OCaml loop. *)
 
 open Nocap_repro
 module Gf_fv = Ntt.Gf_fv
@@ -83,7 +88,32 @@ let kernels ~smoke rng =
   let hp_digests =
     Array.init hp_n (fun i -> Keccak.sha3_256 (Bytes.of_string (string_of_int i)))
   in
+  (* One fused sumcheck round (fold with r, then evaluate) over tables of
+     [sc_n] elements: Spartan's sumcheck #1 shape (eq * (a*b - c), four
+     tables, degree 3) and #2 shape (m * z, two tables, degree 2). The
+     fold rewrites the lower half of every table, so each run first
+     restores it. *)
+  let sc_n = scale (1 lsl 16) (1 lsl 10) in
+  let sc_src = Array.init 4 (fun _ -> Array.init sc_n (fun _ -> Gf.random rng)) in
+  let sc_tabs = Array.map Fv.of_array sc_src in
+  let sc_r = Gf.random rng in
+  let sumcheck_round name ~k ~degree comb =
+    let tabs = Array.sub sc_tabs 0 k in
+    {
+      k_name = name;
+      k_n = sc_n;
+      k_run =
+        (fun () ->
+          Array.iteri
+            (fun j t -> Fv.write_array sc_src.(j) ~src_pos:0 t ~dst_pos:0 ~len:(sc_n / 2))
+            tabs;
+          let g = Sumcheck.round_step ~fold:sc_r ~degree ~comb tabs ~half:(sc_n / 4) in
+          String.concat "," (Array.to_list (Array.map Gf.to_string g)));
+    }
+  in
   [
+    sumcheck_round "sumcheck-round" ~k:4 ~degree:3 Spartan.sumcheck1_comb;
+    sumcheck_round "sumcheck-round-mz" ~k:2 ~degree:2 Spartan.sumcheck2_comb;
     {
       k_name = "fv-mul";
       k_n = ew_n;
@@ -202,7 +232,7 @@ open Json_min
 
 (* Required shape: schema id, single-domain marker, CPU feature string, and
    >= 6 kernels each carrying all three timings, matching fingerprints, and
-   positive speedups; the three acceptance kernels must be present. *)
+   positive speedups; the four acceptance kernels must be present. *)
 let validate_schema (s : string) : (unit, string) result =
   try
     let j = parse_json s in
@@ -232,7 +262,7 @@ let validate_schema (s : string) : (unit, string) result =
       (fun required ->
         if not (List.mem required names) then
           raise (Bad_json (Printf.sprintf "kernel %S missing" required)))
-      [ "ntt-forward-rows"; "keccak-batch"; "rs-encode-rows" ];
+      [ "ntt-forward-rows"; "keccak-batch"; "rs-encode-rows"; "sumcheck-round" ];
     Ok ()
   with Bad_json msg -> Error msg
 
@@ -271,6 +301,20 @@ let run ?(smoke = false) ?(path = "BENCH_native.json") () =
         Printf.eprintf "bench native: %s diverged across modes\n%!" r.kernel.k_name)
       bad;
     exit 1);
+  (* The fused sumcheck round's acceptance bars over the OCaml loop, at
+     full size (smoke sizes are too small to time reliably). *)
+  if not smoke then
+    List.iter
+      (fun r ->
+        if
+          String.starts_with ~prefix:"sumcheck-round" r.kernel.k_name
+          && (speedup_simd r < 3.0 || speedup_scalar r < 1.5)
+        then begin
+          Printf.eprintf "bench native: %s below its bars (simd %.2fx < 3x or scalar %.2fx < 1.5x)\n%!"
+            r.kernel.k_name (speedup_simd r) (speedup_scalar r);
+          exit 1
+        end)
+      rows;
   let json = json_of_rows rows in
   let oc = open_out path in
   output_string oc json;

@@ -84,4 +84,8 @@ external col_absorb : fv -> fv -> int -> int -> int -> int -> int -> unit
   = "caml_nocap_col_absorb_byte" "caml_nocap_col_absorb"
 [@@noalloc]
 
+external sumcheck_round : fv array -> fv -> int64 -> int -> int -> int -> int -> fv -> unit
+  = "caml_nocap_sumcheck_round_byte" "caml_nocap_sumcheck_round"
+[@@noalloc]
+
 external gl_pow : int64 -> int64 -> int64 = "caml_nocap_gl_pow"

@@ -2,7 +2,8 @@
 
     The C stubs in [nocap_native_stubs.c] are bit-exact replacements for the
     hot OCaml kernels over [Fv] buffers (Goldilocks elementwise ops, radix-2
-    NTT, Keccak-f[1600] sponges, fused RS row encode).  This module owns the
+    NTT, Keccak-f[1600] sponges, fused RS row encode, the fused sumcheck
+    round).  This module owns the
     single mode flag that every dispatch site consults:
 
     - [Off]    — pure OCaml oracles only (the pre-PR-8 code paths).
@@ -101,6 +102,17 @@ external col_absorb : fv -> fv -> int -> int -> int -> int -> int -> unit
 [@@noalloc]
 (** [col_absorb states flat row_stride r_lo r_hi c_lo c_hi]: incremental
     column-sponge absorption for [Keccak.Col_hash]. *)
+
+external sumcheck_round : fv array -> fv -> int64 -> int -> int -> int -> int -> fv -> unit
+  = "caml_nocap_sumcheck_round_byte" "caml_nocap_sumcheck_round"
+[@@noalloc]
+(** [sumcheck_round tabs desc r fold half b_lo b_hi acc]: one sumcheck
+    round over the pairs [b_lo, b_hi) of the tables [tabs] (pair b is
+    positions b and b + half), adding the round polynomial of the combine
+    polynomial [desc] at t = 0..degree into [acc]. With [fold = 1] each
+    table is first folded with [r] at both positions (reading
+    b + 2 half and b + 3 half). [desc] is the layout
+    [Sumcheck.Comb] compiles; the C side trusts it and the shapes. *)
 
 external gl_pow : int64 -> int64 -> int64 = "caml_nocap_gl_pow"
 (** Goldilocks exponentiation (test hook for the C field arithmetic). *)

@@ -831,3 +831,231 @@ CAMLprim value caml_nocap_col_absorb_byte(value *argv, int argn)
   (void)argn;
   return caml_nocap_col_absorb(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6]);
 }
+
+/* --- sumcheck round: sum-of-products evaluation fused with the fold ------
+   One sumcheck round over the pairs b in [b_lo, b_hi) of k tables, for a
+   combine polynomial described first-order (Sumcheck.Comb): an optional
+   shared factor column times a sum of coefficient * product-of-columns
+   terms. For each pair, every table restricted to the top variable is the
+   line lo + t * (hi - lo); the kernel adds sum_b comb(line(t)) for
+   t = 0..deg into acc. With fold set, each table is first folded with the
+   previous round's challenge r at both positions the pair reads
+   (T(i) <- T(i) + r * (T(i + 2 half) - T(i)) for i = b, b + half), so one
+   pass reads every table once per round instead of twice.
+
+   Goldilocks arithmetic is exact, so the accumulation order is free: the
+   AVX2 body keeps four lane sums per point and the tail and lanes are
+   added at the end, with the same result as the OCaml loop. The scalar
+   body uses branch-free twins of gl_add/gl_sub/gl_mul (same formulas,
+   carries as masks): the branches mispredict on random field data.
+
+   Description layout (int64, validated in OCaml by Sumcheck.Comb):
+   [k; deg; factor (-1 = none); nterms; then per term: coeff; ncols;
+   cols...]. */
+
+#define SC_MAX_K 256
+#define SC_MAX_DEG 8
+#define SC_MAX_TERMS 256
+
+enum { SC_ADD, SC_SUB, SC_MUL };
+
+typedef struct {
+  int k, deg, factor, nterms;
+  int kind[SC_MAX_TERMS];
+  uint64_t coeff[SC_MAX_TERMS];
+  int ncols[SC_MAX_TERMS];
+  int cols[SC_MAX_TERMS][SC_MAX_DEG];
+} sc_desc;
+
+/* Zero-coefficient terms are dropped; +1 and -1 coefficients become an
+   add or a subtract of the product. */
+static void sc_parse(sc_desc *d, const uint64_t *w)
+{
+  d->k = (int)w[0];
+  d->deg = (int)w[1];
+  d->factor = (int)(int64_t)w[2];
+  int nterms = (int)w[3];
+  size_t pos = 4;
+  d->nterms = 0;
+  for (int i = 0; i < nterms; i++) {
+    uint64_t c = w[pos];
+    int n = (int)w[pos + 1];
+    pos += 2;
+    if (c != 0) {
+      int t = d->nterms++;
+      d->kind[t] = c == 1 ? SC_ADD : c == GL_P - 1 ? SC_SUB : SC_MUL;
+      d->coeff[t] = c;
+      d->ncols[t] = n;
+      for (int j = 0; j < n; j++) d->cols[t][j] = (int)w[pos + j];
+    }
+    pos += n;
+  }
+}
+
+static inline uint64_t bf_mask(int c) { return (uint64_t)0 - (uint64_t)c; }
+
+static inline uint64_t bf_add(uint64_t a, uint64_t b)
+{
+  uint64_t s = a + b;
+  s += bf_mask(s < a) & GL_EPS;
+  return s - (bf_mask(s >= GL_P) & GL_P);
+}
+
+static inline uint64_t bf_sub(uint64_t a, uint64_t b)
+{
+  return (a - b) - (bf_mask(a < b) & GL_EPS);
+}
+
+static inline uint64_t bf_mul(uint64_t a, uint64_t b)
+{
+#if defined(__SIZEOF_INT128__)
+  unsigned __int128 p = (unsigned __int128)a * b;
+  uint64_t lo = (uint64_t)p, hi = (uint64_t)(p >> 64);
+  uint64_t hi_hi = hi >> 32;
+  uint64_t t0 = (lo - hi_hi) - (bf_mask(lo < hi_hi) & GL_EPS);
+  uint64_t t2 = t0 + (hi & GL_EPS) * GL_EPS;
+  t2 += bf_mask(t2 < t0) & GL_EPS;
+  return t2 - (bf_mask(t2 >= GL_P) & GL_P);
+#else
+  return gl_mul(a, b);
+#endif
+}
+
+/* comb at one point, v holding every table's value there. */
+static inline uint64_t sc_point(const sc_desc *d, const uint64_t *v)
+{
+  uint64_t s = 0;
+  for (int i = 0; i < d->nterms; i++) {
+    int n = d->ncols[i];
+    uint64_t p = 1;
+    if (n > 0) {
+      p = v[d->cols[i][0]];
+      for (int j = 1; j < n; j++) p = bf_mul(p, v[d->cols[i][j]]);
+    }
+    switch (d->kind[i]) {
+    case SC_ADD: s = bf_add(s, p); break;
+    case SC_SUB: s = bf_sub(s, p); break;
+    default: s = bf_add(s, bf_mul(d->coeff[i], p)); break;
+    }
+  }
+  return d->factor >= 0 ? bf_mul(v[d->factor], s) : s;
+}
+
+/* Pairs [b_lo, b_hi) one at a time, adding into g[0..deg]; also the tail
+   of the AVX2 body. */
+static void sc_round_scalar(const sc_desc *d, uint64_t *const *T, uint64_t r, int fold,
+                            intnat half, intnat b_lo, intnat b_hi, uint64_t *g)
+{
+  uint64_t v[SC_MAX_K], dl[SC_MAX_K];
+  for (intnat b = b_lo; b < b_hi; b++) {
+    for (int j = 0; j < d->k; j++) {
+      uint64_t *t = T[j];
+      uint64_t lo = t[b], hi = t[b + half];
+      if (fold) {
+        lo = bf_add(lo, bf_mul(r, bf_sub(t[b + 2 * half], lo)));
+        hi = bf_add(hi, bf_mul(r, bf_sub(t[b + 3 * half], hi)));
+        t[b] = lo;
+        t[b + half] = hi;
+      }
+      v[j] = lo;
+      dl[j] = bf_sub(hi, lo);
+    }
+    for (int x = 0; x <= d->deg; x++) {
+      if (x > 0)
+        for (int j = 0; j < d->k; j++) v[j] = bf_add(v[j], dl[j]);
+      g[x] = bf_add(g[x], sc_point(d, v));
+    }
+  }
+}
+
+#if defined(NOCAP_X86_64)
+
+__attribute__((target("avx2"))) static inline __m256i sc4_point(const sc_desc *d,
+                                                               const __m256i *v)
+{
+  __m256i s = _mm256_setzero_si256();
+  for (int i = 0; i < d->nterms; i++) {
+    int n = d->ncols[i];
+    __m256i p = _mm256_set1_epi64x(1);
+    if (n > 0) {
+      p = v[d->cols[i][0]];
+      for (int j = 1; j < n; j++) p = gl4_mul(p, v[d->cols[i][j]]);
+    }
+    switch (d->kind[i]) {
+    case SC_ADD: s = gl4_add(s, p); break;
+    case SC_SUB: s = gl4_sub(s, p); break;
+    default: s = gl4_add(s, gl4_mul(_mm256_set1_epi64x((long long)d->coeff[i]), p)); break;
+    }
+  }
+  return d->factor >= 0 ? gl4_mul(v[d->factor], s) : s;
+}
+
+/* Four pairs per step; the remainder goes to the scalar body. */
+__attribute__((target("avx2"))) static void sc_round_avx2(const sc_desc *d,
+                                                          uint64_t *const *T, uint64_t r,
+                                                          int fold, intnat half, intnat b_lo,
+                                                          intnat b_hi, uint64_t *g)
+{
+  __m256i v[SC_MAX_K], dl[SC_MAX_K], acc[SC_MAX_DEG + 1];
+  const __m256i rv = _mm256_set1_epi64x((long long)r);
+  for (int x = 0; x <= d->deg; x++) acc[x] = _mm256_setzero_si256();
+  intnat b = b_lo;
+  for (; b + 4 <= b_hi; b += 4) {
+    for (int j = 0; j < d->k; j++) {
+      uint64_t *t = T[j];
+      __m256i lo = _mm256_loadu_si256((const __m256i *)(t + b));
+      __m256i hi = _mm256_loadu_si256((const __m256i *)(t + b + half));
+      if (fold) {
+        __m256i lo2 = _mm256_loadu_si256((const __m256i *)(t + b + 2 * half));
+        __m256i hi2 = _mm256_loadu_si256((const __m256i *)(t + b + 3 * half));
+        lo = gl4_add(lo, gl4_mul(rv, gl4_sub(lo2, lo)));
+        hi = gl4_add(hi, gl4_mul(rv, gl4_sub(hi2, hi)));
+        _mm256_storeu_si256((__m256i *)(t + b), lo);
+        _mm256_storeu_si256((__m256i *)(t + b + half), hi);
+      }
+      v[j] = lo;
+      dl[j] = gl4_sub(hi, lo);
+    }
+    for (int x = 0; x <= d->deg; x++) {
+      if (x > 0)
+        for (int j = 0; j < d->k; j++) v[j] = gl4_add(v[j], dl[j]);
+      acc[x] = gl4_add(acc[x], sc4_point(d, v));
+    }
+  }
+  sc_round_scalar(d, T, r, fold, half, b, b_hi, g);
+  uint64_t lanes[4];
+  for (int x = 0; x <= d->deg; x++) {
+    _mm256_storeu_si256((__m256i *)lanes, acc[x]);
+    for (int i = 0; i < 4; i++) g[x] = gl_add(g[x], lanes[i]);
+  }
+}
+
+#endif /* NOCAP_X86_64 */
+
+CAMLprim value caml_nocap_sumcheck_round(value vtabs, value vdesc, value vr, value vfold,
+                                         value vhalf, value vlo, value vhi, value vacc)
+{
+  sc_desc d;
+  uint64_t *T[SC_MAX_K];
+  sc_parse(&d, BA_DATA(vdesc));
+  for (int j = 0; j < d.k; j++) T[j] = BA_DATA(Field(vtabs, j));
+  uint64_t r = (uint64_t)Int64_val(vr);
+  int fold = Int_val(vfold);
+  intnat half = Long_val(vhalf), b_lo = Long_val(vlo), b_hi = Long_val(vhi);
+  uint64_t *acc = BA_DATA(vacc);
+#if defined(NOCAP_X86_64)
+  if (g_simd && have_avx2()) {
+    sc_round_avx2(&d, T, r, fold, half, b_lo, b_hi, acc);
+    return Val_unit;
+  }
+#endif
+  sc_round_scalar(&d, T, r, fold, half, b_lo, b_hi, acc);
+  return Val_unit;
+}
+
+CAMLprim value caml_nocap_sumcheck_round_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_nocap_sumcheck_round(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
+                                   argv[6], argv[7]);
+}

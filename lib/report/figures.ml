@@ -263,18 +263,20 @@ let soundness_ablation () =
   let module Gf2 = Zk_field.Gf2 in
   let l = 12 in
   let tables = Array.init 4 (fun _ -> Array.init (1 lsl l) (fun _ -> Gf.random rng)) in
-  let comb v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3)) in
+  let module Comb = Zk_sumcheck.Sumcheck.Comb in
+  let comb = Zk_spartan.Spartan.sumcheck1_comb in
   let comb_ext v = Gf2.mul v.(0) (Gf2.sub (Gf2.mul v.(1) v.(2)) v.(3)) in
   let claim =
     let acc = ref Gf.zero in
     for b = 0 to (1 lsl l) - 1 do
-      acc := Gf.add !acc (comb (Array.map (fun t -> t.(b)) tables))
+      acc := Gf.add !acc (Comb.eval comb (Array.map (fun t -> t.(b)) tables))
     done;
     !acc
   in
   let base_mults =
     let t = Zk_hash.Transcript.create "abl-base" in
-    (Zk_sumcheck.Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables ~comb ~claim)
+    let tables = Array.map Nocap_vec.Spill.of_array tables in
+    (Zk_sumcheck.Sumcheck.prove_comb t ~degree:3 ~tables ~comb ~claim)
       .Zk_sumcheck.Sumcheck.stats.Zk_sumcheck.Sumcheck.mults
   in
   let ext =

@@ -5,6 +5,7 @@ module Sparse = Zk_r1cs.Sparse
 module R1cs = Zk_r1cs.R1cs
 module Sumcheck = Zk_sumcheck.Sumcheck
 module Orion = Zk_orion.Orion
+module Spill = Nocap_vec.Spill
 
 type proof = {
   commitments : Orion.commitment array;
@@ -27,18 +28,21 @@ let start_transcript params inst ios =
   Array.iter (Transcript.absorb_gf t "io") ios;
   t
 
-(* comb for the batched first sumcheck over tables
-   [eq; a_1; b_1; c_1; ...; a_k; b_k; c_k] with coefficients rho. *)
-let comb1 rho v =
-  let k = Array.length rho in
-  let acc = ref Gf.zero in
-  for i = 0 to k - 1 do
-    let a = v.((3 * i) + 1) and b = v.((3 * i) + 2) and c = v.((3 * i) + 3) in
-    acc := Gf.add !acc (Gf.mul rho.(i) (Gf.sub (Gf.mul a b) c))
-  done;
-  Gf.mul v.(0) !acc
+module Comb = Sumcheck.Comb
 
-let comb2 v = Gf.mul v.(0) v.(1)
+(* The batched first sumcheck over tables
+   [eq; a_1; b_1; c_1; ...; a_k; b_k; c_k] with coefficients rho:
+   eq * sum_i (rho_i a_i b_i - rho_i c_i). *)
+let comb1 rho =
+  let term m =
+    let i = m / 2 in
+    if m mod 2 = 0 then Comb.term ~coeff:rho.(i) [ (3 * i) + 1; (3 * i) + 2 ]
+    else Comb.term ~coeff:(Gf.neg rho.(i)) [ (3 * i) + 3 ]
+  in
+  { Comb.factor = Some 0; terms = Array.init (2 * Array.length rho) term }
+
+let max_batch = (Comb.max_tables - 1) / 3
+let comb2 = { Comb.factor = None; terms = [| Comb.term [ 0; 1 ] |] }
 
 let io_mle_eval io_live point =
   let eq = Mle.eq_table point in
@@ -51,6 +55,8 @@ let prove ?engine ?rng params inst assignments =
   let rng = Zk_pcs.Engine.rng ~seed:0xA66_CAFEL ?rng engine in
   let k = Array.length assignments in
   if k = 0 then invalid_arg "Aggregate.prove: empty batch";
+  if k > max_batch then
+    invalid_arg (Printf.sprintf "Aggregate.prove: batch of %d above %d" k max_batch);
   let ios = Array.map (R1cs.public_io inst) assignments in
   let zs = Array.map (R1cs.z inst) assignments in
   let az = Array.map (Sparse.spmv inst.R1cs.a) zs in
@@ -94,8 +100,8 @@ let prove ?engine ?rng params inst assignments =
                  (List.init k (fun i -> [ az.(i); bz.(i); cz.(i) ])))
         in
         let r1 =
-          Sumcheck.prove ~engine ~comb_mults:(2 * k) transcript ~degree:3
-            ~tables ~comb:(comb1 rho) ~claim:Gf.zero
+          Sumcheck.prove_comb ~engine transcript ~degree:3
+            ~tables:(Array.map Spill.of_array tables) ~comb:(comb1 rho) ~claim:Gf.zero
         in
         let rx = r1.Sumcheck.challenges in
         let claims_abc =
@@ -143,8 +149,8 @@ let prove ?engine ?rng params inst assignments =
               !acc)
         in
         let r2 =
-          Sumcheck.prove ~engine ~comb_mults:1 transcript ~degree:2
-            ~tables:[| m_table; z_comb |] ~comb:comb2 ~claim:claim2
+          Sumcheck.prove_comb ~engine transcript ~degree:2
+            ~tables:[| Spill.of_array m_table; Spill.of_array z_comb |] ~comb:comb2 ~claim:claim2
         in
         let ry = r2.Sumcheck.challenges in
         let ry_rest = Array.sub ry 1 (l - 1) in

@@ -37,8 +37,13 @@ val prove :
   Zk_r1cs.R1cs.instance ->
   Zk_r1cs.R1cs.assignment array ->
   proof
-(** @raise Invalid_argument if the batch is empty or any assignment fails to
-    satisfy the instance. *)
+(** @raise Invalid_argument if the batch is empty, holds more than
+    [max_batch] assignments, or any assignment fails to satisfy the
+    instance. *)
+
+val max_batch : int
+(** 85: the batched first sumcheck runs over [1 + 3k] tables, and the
+    native round kernel takes at most {!Zk_sumcheck.Sumcheck.Comb.max_tables}. *)
 
 val verify :
   ?engine:Zk_pcs.Engine.t ->

@@ -36,24 +36,33 @@ let backend_of_bytes data =
     | Some name -> Ok name
     | None -> E.errorf E.Bad_header "unknown backend tag 0x%02x" (Char.code t))
 
+(* SHA3 of "r1cs:<log_size>:" then, per matrix, its tag and one 24-byte
+   (row, col, value) little-endian record per entry in CSR order, written
+   straight into one buffer of the exact size. *)
 let instance_digest (inst : R1cs.instance) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "r1cs:%d:" inst.R1cs.log_size);
-  let add_matrix tag m =
-    Buffer.add_string buf tag;
-    Seq.iter
-      (fun (r, c, v) ->
-        let b = Bytes.create 24 in
-        Bytes.set_int64_le b 0 (Int64.of_int r);
-        Bytes.set_int64_le b 8 (Int64.of_int c);
-        Bytes.set_int64_le b 16 (Gf.to_int64 v);
-        Buffer.add_bytes buf b)
-      (Sparse.entries m)
+  let header = Printf.sprintf "r1cs:%d:" inst.R1cs.log_size in
+  let mats = [ ("A", inst.R1cs.a); ("B", inst.R1cs.b); ("C", inst.R1cs.c) ] in
+  let size =
+    List.fold_left (fun acc (tag, m) -> acc + String.length tag + (24 * Sparse.nnz m))
+      (String.length header) mats
   in
-  add_matrix "A" inst.R1cs.a;
-  add_matrix "B" inst.R1cs.b;
-  add_matrix "C" inst.R1cs.c;
-  Keccak.sha3_256 (Buffer.to_bytes buf)
+  let buf = Bytes.create size in
+  Bytes.blit_string header 0 buf 0 (String.length header);
+  let pos = ref (String.length header) in
+  List.iter
+    (fun (tag, (m : Sparse.t)) ->
+      Bytes.blit_string tag 0 buf !pos (String.length tag);
+      pos := !pos + String.length tag;
+      for r = 0 to m.nrows - 1 do
+        for e = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
+          Bytes.set_int64_le buf !pos (Int64.of_int r);
+          Bytes.set_int64_le buf (!pos + 8) (Int64.of_int m.col_idx.(e));
+          Bytes.set_int64_le buf (!pos + 16) (Gf.to_int64 m.values.(e));
+          pos := !pos + 24
+        done
+      done)
+    mats;
+  Keccak.sha3_256 buf
 
 (* The multilinear extension of the io half at a point over (L-1) variables,
    computed from the live io prefix only (everything else is zero). *)
@@ -63,11 +72,12 @@ let io_mle_eval io_live point =
   Array.iteri (fun j v -> acc := Gf.add !acc (Gf.mul v eq.(j))) io_live;
   !acc
 
-(* comb for sumcheck #1: eq * (az * bz - cz), degree 3. *)
-let comb1 v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
+module Comb = Sumcheck.Comb
 
-(* comb for sumcheck #2: m * z, degree 2. *)
-let comb2 v = Gf.mul v.(0) v.(1)
+let sumcheck1_comb =
+  { Comb.factor = Some 0; terms = [| Comb.term [ 1; 2 ]; Comb.term ~coeff:(Gf.neg Gf.one) [ 3 ] |] }
+
+let sumcheck2_comb = { Comb.factor = None; terms = [| Comb.term [ 0; 1 ] |] }
 
 (* Fills [dst] (length 2^|vars|) with [c * eq(vars, b)], variable 0 the
    most significant bit of b: each variable, last to first, splits the
@@ -206,11 +216,12 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
   (* The prover: one blocked pipeline for every memory budget. Every
      full-length intermediate (Az/Bz/Cz, the eq tables, the M~ table) is a
      Spill vector produced block by block, and both sumchecks run through
-     Sumcheck.prove_streaming. Without a budget the vectors are RAM-backed
-     and each is produced in one block; under a budget they live in spill
-     files touched one block at a time, as do the sumcheck generations and
-     the PCS working set, and the only full-length residents are the
-     caller-owned assignment and the flat 8-byte/element wire vector z.
+     Sumcheck.prove_comb (the native round kernel). Without a budget the
+     vectors are RAM-backed and each is produced in one block; under a
+     budget they live in spill files touched one block at a time, as do
+     the sumcheck generations and the PCS working set, and the only
+     full-length residents are the caller-owned assignment and the flat
+     8-byte/element wire vector z.
      Goldilocks arithmetic is exact, so the proof bytes are the same for
      every budget. *)
   let prove ?engine ?rng params inst asn =
@@ -301,10 +312,9 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           let eq_tau = spill_eq "spartan-eqtau" tau in
           let r1 =
             Fun.protect ~finally:(fun () -> Spill.free eq_tau) @@ fun () ->
-            Sumcheck.prove_streaming ~engine ~comb_mults:2 ?budget_bytes:budget
-              transcript ~degree:3
+            Sumcheck.prove_comb ~engine ?budget_bytes:budget transcript ~degree:3
               ~tables:[| eq_tau; az; bz; cz |]
-              ~comb:comb1 ~claim:Gf.zero
+              ~comb:sumcheck1_comb ~claim:Gf.zero
           in
           sc_mults := !sc_mults + r1.Sumcheck.stats.Sumcheck.mults;
           sc_adds := !sc_adds + r1.Sumcheck.stats.Sumcheck.adds;
@@ -349,10 +359,9 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
                sumcheck so the two never coexist (the finally re-free is an
                idempotent no-op). *)
             Spill.free eq_rx;
-            Sumcheck.prove_streaming ~engine ~comb_mults:1 ?budget_bytes:budget
-              transcript ~degree:2
+            Sumcheck.prove_comb ~engine ?budget_bytes:budget transcript ~degree:2
               ~tables:[| m_table; z_spill |]
-              ~comb:comb2 ~claim:claim2
+              ~comb:sumcheck2_comb ~claim:claim2
           in
           sc_mults := !sc_mults + r2.Sumcheck.stats.Sumcheck.mults;
           sc_adds := !sc_adds + r2.Sumcheck.stats.Sumcheck.adds;

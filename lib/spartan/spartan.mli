@@ -129,6 +129,13 @@ include S with module P = Zk_orion.Orion_pcs
 (** The default instance, over Orion — byte-compatible with the pre-functor
     prover for every engine/domain configuration. *)
 
+val sumcheck1_comb : Zk_sumcheck.Sumcheck.Comb.t
+(** The first sumcheck's combine polynomial over [[eq; az; bz; cz]]:
+    [eq * (az * bz - cz)], degree 3. *)
+
+val sumcheck2_comb : Zk_sumcheck.Sumcheck.Comb.t
+(** The second sumcheck's over [[m; z]]: [m * z], degree 2. *)
+
 val backend_of_bytes : bytes -> (string, Zk_pcs.Verify_error.t) result
 (** Sniff the header of a serialized proof and report which backend wrote it
     ([Ok "orion"], [Ok "fri"], ...) without decoding the payload. Legacy

@@ -15,7 +15,8 @@ let log2_exact n =
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
 
-let comb v = Gf.mul v.(0) (Gf.mul v.(1) v.(2))
+(* eq * even * odd over [eq; evens; odds], degree 3. *)
+let comb = { Sumcheck.Comb.factor = Some 0; terms = [| Sumcheck.Comb.term [ 1; 2 ] |] }
 
 let prove transcript v =
   let n = Array.length v in
@@ -42,7 +43,8 @@ let prove transcript v =
     let odds = Array.init half (fun y -> below.((2 * y) + 1)) in
     let eq = Mle.eq_table !r in
     let res =
-      Sumcheck.prove ~comb_mults:2 transcript ~degree:3 ~tables:[| eq; evens; odds |]
+      Sumcheck.prove_comb transcript ~degree:3
+        ~tables:(Array.map Nocap_vec.Spill.of_array [| eq; evens; odds |])
         ~comb ~claim:!claim
     in
     let p0 = res.Sumcheck.final_values.(1) and p1 = res.Sumcheck.final_values.(2) in

@@ -35,6 +35,39 @@ type prover_result = {
   stats : stats;
 }
 
+(** First-order description of a combine polynomial: an optional shared
+    factor column times a sum of [coeff * product of columns] terms,
+
+    [comb(v) = v.(factor) * sum_i coeff_i * prod_{j in cols_i} v.(j)].
+
+    It covers every in-tree sumcheck: Spartan's [eq * (a*b - c)] and
+    [m * z], Aggregate's [eq * sum_i rho_i (a_i b_i - c_i)] and
+    Grand_product's [eq * even * odd]. Unlike a closure, a description can
+    be evaluated by the native round kernel ([Native.sumcheck_round]),
+    which fuses each round's fold into the next round's evaluation. *)
+module Comb : sig
+  type term = { coeff : Gf.t; cols : int array (** table indices; [] is 1 *) }
+  type t = { factor : int option; terms : term array }
+
+  val term : ?coeff:Gf.t -> int list -> term
+  (** [term ~coeff cols]; [coeff] defaults to [Gf.one]. *)
+
+  val eval : t -> Gf.t array -> Gf.t
+  (** The polynomial at one point (one value per table): the boxed
+      evaluator, and the closure {!prove_arrays} checks the kernel
+      against. *)
+
+  val mults : t -> int
+  (** Field multiplications per evaluation, for [stats]: one per product
+      factor beyond a term's first, one per coefficient other than +-1,
+      one for the shared factor. *)
+
+  val max_tables : int
+  val max_degree : int
+  val max_terms : int
+  (** The native kernel's fixed limits (256 tables, degree 8, 256 terms). *)
+end
+
 val prove :
   ?engine:Zk_pcs.Engine.t ->
   ?comb_mults:int ->
@@ -50,7 +83,10 @@ val prove :
     multiplications one [comb] call performs (default 0), so [stats] can
     account for them. The claim is absorbed into the transcript, so prover
     and verifier bind to it. [engine] supplies the worker pool for round
-    evaluation and folds; the proof is byte-identical for every engine. *)
+    evaluation and folds; the proof is byte-identical for every engine.
+    A closure runs through the same round engine as {!prove_comb}, but
+    every point goes through the boxed per-point loop: in-tree provers use
+    {!prove_comb}, and the closure form stays for ad-hoc polynomials. *)
 
 val prove_streaming :
   ?engine:Zk_pcs.Engine.t ->
@@ -76,6 +112,37 @@ val prove_streaming :
     budget, and equal to {!prove_arrays} on the same data. [tables] are
     read, never written; the caller frees them.
     @raise Invalid_argument if [budget_bytes <= 0]. *)
+
+val prove_comb :
+  ?engine:Zk_pcs.Engine.t ->
+  ?budget_bytes:int ->
+  Zk_hash.Transcript.t ->
+  degree:int ->
+  tables:Nocap_vec.Spill.t array ->
+  comb:Comb.t ->
+  claim:Gf.t ->
+  prover_result
+(** {!prove_streaming} with a {!Comb} description instead of a closure:
+    the same transcript, rounds and result, with [stats] counting
+    [Comb.mults comb] multiplications per evaluation. Rounds run in the
+    native kernel (AVX2 in [Simd] mode, branch-free scalar C in
+    [Scalar]); under [Native.Off] they run the boxed loop over
+    [Comb.eval comb].
+    @raise Invalid_argument if a column index is not below the number of
+    tables, a term's degree (plus one for the shared factor) exceeds
+    [degree], [degree] is outside [1, Comb.max_degree], a coefficient is
+    not canonical, or there are more than [Comb.max_tables] tables or
+    [Comb.max_terms] terms — before anything is absorbed. *)
+
+val round_step :
+  ?fold:Gf.t -> degree:int -> comb:Comb.t -> Nocap_vec.Fv.t array -> half:int -> Gf.t array
+(** One round of the engine, serially, for the kernel bench: the round
+    polynomial (at [0..degree]) over the pairs [(b, b + half)],
+    [b < half], of the tables. With [fold = r] the tables first fold with
+    [r] from length [4 * half] to [2 * half] in place, inside the same
+    pass.
+    @raise Invalid_argument as {!prove_comb}, or if a table is shorter
+    than [4 * half] (with [fold]) or [2 * half]. *)
 
 val prove_arrays :
   ?engine:Zk_pcs.Engine.t ->

@@ -5,7 +5,11 @@
     extension-field arithmetic once the first challenge binds (3 base
     multiplications per extension multiplication). The claimed sum and the
     tables live in the base field; the reduced claim and evaluation point are
-    extension elements. *)
+    extension elements.
+
+    This prover stays on a boxed [Gf2.t array -> Gf2.t] closure: the
+    native round kernel behind {!Sumcheck.prove_comb} computes in the base
+    field only, and this ablation prover is not on any hot path. *)
 
 module Gf = Zk_field.Gf
 module Gf2 = Zk_field.Gf2

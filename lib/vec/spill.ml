@@ -182,6 +182,7 @@ let to_fv t =
   out
 
 let of_fv fv = { len = Fv.length fv; backing = Ram fv }
+let of_array a = of_fv (Fv.of_array a)
 
 let create ?(tag = "spill") ~spill n =
   if n < 0 then invalid_arg "Spill.create: negative length";

@@ -40,6 +40,9 @@ val create : ?tag:string -> spill:bool -> int -> t
 val of_fv : Fv.t -> t
 (** Zero-copy RAM-backed wrap; the [Fv.t] is shared, not copied. *)
 
+val of_array : Gf.t array -> t
+(** RAM-backed copy of a boxed array. *)
+
 val length : t -> int
 
 val is_spilled : t -> bool

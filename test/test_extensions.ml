@@ -282,6 +282,14 @@ let test_batch_unsatisfied_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_batch_too_large_rejected () =
+  let inst, asn = Synthetic.circuit ~n_constraints:100 ~seed:97L () in
+  Alcotest.(check bool) "prove raises" true
+    (try
+       ignore (Aggregate.prove Spartan.test_params inst (Array.make (Aggregate.max_batch + 1) asn));
+       false
+     with Invalid_argument _ -> true)
+
 let test_batch_budget_frees_spill_files () =
   (* Under a stream budget every per-assignment Orion commitment holds a
      spill file; the batch prover must release them all when it returns,
@@ -411,6 +419,7 @@ let suite =
     Alcotest.test_case "batch roundtrip" `Quick test_batch_roundtrip;
     Alcotest.test_case "batch distinct witnesses" `Quick test_batch_distinct_witnesses;
     Alcotest.test_case "batch unsatisfied rejected" `Quick test_batch_unsatisfied_rejected;
+    Alcotest.test_case "batch above max_batch rejected" `Quick test_batch_too_large_rejected;
     Alcotest.test_case "batch amortization" `Quick test_batch_amortization;
     Alcotest.test_case "batch under a budget frees its spill files" `Quick
       test_batch_budget_frees_spill_files;

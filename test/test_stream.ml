@@ -312,7 +312,7 @@ let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~comb_mults ~budget seed =
     Sumcheck.prove ~comb_mults t1 ~degree ~tables ~comb ~claim
   in
   let t2 = Transcript.create "stream-test" in
-  let spills = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables in
+  let spills = Array.map Spill.of_array tables in
   let streamed =
     Sumcheck.prove_streaming ~comb_mults ~budget_bytes:budget t2 ~degree
       ~tables:spills ~comb ~claim
@@ -376,6 +376,127 @@ let test_sumcheck_spilled_tables () =
   Array.iter Spill.free spills;
   check_sumcheck_equal "in-RAM tables" oracle reference;
   check_sumcheck_equal "spilled tables" oracle streamed
+
+(* --- Comb descriptions: the native round kernel vs the boxed oracle ----- *)
+
+module Comb = Sumcheck.Comb
+module Native = Nocap_native.Native
+
+(* A random description over [k] tables of total degree <= [degree], with
+   coefficients drawn from 0, 1, p - 1 and uniform values. *)
+let random_comb rng ~k ~degree =
+  let col () = Rng.int rng k in
+  let factor = if Rng.int rng 2 = 0 then Some (col ()) else None in
+  let room = degree - if Option.is_some factor then 1 else 0 in
+  let coeff () =
+    match Rng.int rng 4 with
+    | 0 -> Gf.zero
+    | 1 -> Gf.one
+    | 2 -> Gf.neg Gf.one
+    | _ -> gf_of_rng rng
+  in
+  let term _ =
+    { Comb.coeff = coeff (); cols = Array.init (Rng.int rng (room + 1)) (fun _ -> col ()) }
+  in
+  { Comb.factor; terms = Array.init (Rng.int rng 5) term }
+
+(* prove_comb in every native mode, at 1/2/3 domains, with no budget and
+   under [budget] (small enough that rounds stream), against prove_arrays
+   over the closure the same description evaluates. *)
+let check_comb_against_oracle ~msg ~degree ~comb ~budget tables =
+  let n = Array.length tables.(0) in
+  let claim =
+    let acc = ref Gf.zero in
+    for b = 0 to n - 1 do
+      acc := Gf.add !acc (Comb.eval comb (Array.map (fun t -> t.(b)) tables))
+    done;
+    !acc
+  in
+  let oracle =
+    Sumcheck.prove_arrays ~comb_mults:(Comb.mults comb) (Transcript.create "comb-test")
+      ~degree ~tables ~comb:(Comb.eval comb) ~claim
+  in
+  List.iter
+    (fun d ->
+      Pool.with_domains d (fun () ->
+          List.iter
+            (fun mode ->
+              Native.with_mode mode (fun () ->
+                  List.iter
+                    (fun budget_bytes ->
+                      let res =
+                        Sumcheck.prove_comb ~engine:(Engine.create ()) ?budget_bytes
+                          (Transcript.create "comb-test") ~degree
+                          ~tables:(Array.map Spill.of_array tables) ~comb ~claim
+                      in
+                      check_sumcheck_equal
+                        (Printf.sprintf "%s, native %s, %d domains, budget %s" msg
+                           (Native.mode_to_string mode) d
+                           (match budget_bytes with None -> "none" | Some b -> string_of_int b))
+                        oracle res)
+                    [ None; Some budget ]))
+            [ Native.Off; Native.Scalar; Native.Simd ]))
+    [ 1; 2; 3 ]
+
+let prop_comb_kernel =
+  qcheck ~count:25 "comb kernel = prove_arrays (modes x domains x budgets)"
+    QCheck.(make ~print:string_of_int (Gen.int_bound 1_000_000))
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int (succ seed)) in
+      let k = 1 + Rng.int rng 9 and degree = 1 + Rng.int rng 4 and l = Rng.int rng 12 in
+      let comb = random_comb rng ~k ~degree in
+      let tables = Array.init k (fun _ -> random_gf_array rng (1 lsl l)) in
+      check_comb_against_oracle
+        ~msg:(Printf.sprintf "seed %d (k=%d, degree %d, l=%d)" seed k degree l)
+        ~degree ~comb ~budget:512 tables;
+      true)
+
+let test_comb_multi_chunk () =
+  (* Halves above the 1024-pair chunk, so rounds split across domains:
+     Spartan's sumcheck #1 shape and a random description. *)
+  let rng = Rng.create 4242L in
+  check_comb_against_oracle ~msg:"sc1 at 2^13" ~degree:3 ~comb:Spartan.sumcheck1_comb
+    ~budget:4096
+    (Array.init 4 (fun _ -> random_gf_array rng (1 lsl 13)));
+  let comb = random_comb rng ~k:6 ~degree:4 in
+  check_comb_against_oracle ~msg:"random at 2^12" ~degree:4 ~comb ~budget:4096
+    (Array.init 6 (fun _ -> random_gf_array rng (1 lsl 12)))
+
+let test_comb_invalid () =
+  let tables k = Array.map Spill.of_array (Array.init k (fun _ -> Array.make 4 Gf.one)) in
+  let rejects msg ?(k = 3) ?(degree = 3) comb =
+    let t = Transcript.create "comb-invalid" in
+    (match Sumcheck.prove_comb t ~degree ~tables:(tables k) ~comb ~claim:Gf.zero with
+    | _ -> Alcotest.failf "%s: accepted" msg
+    | exception Invalid_argument _ -> ());
+    (* rejected before anything reached the transcript *)
+    Alcotest.(check bool)
+      (msg ^ ": transcript untouched")
+      true
+      (Gf.equal (Transcript.challenge_gf t "x")
+         (Transcript.challenge_gf (Transcript.create "comb-invalid") "x"))
+  in
+  let term = Comb.term in
+  rejects "factor column >= k" { Comb.factor = Some 3; terms = [| term [ 0 ] |] };
+  rejects "term column >= k" { Comb.factor = None; terms = [| term [ 0; 3 ] |] };
+  rejects "negative column" { Comb.factor = None; terms = [| term [ -1 ] |] };
+  rejects "term degree above degree" ~degree:2 { Comb.factor = Some 0; terms = [| term [ 1; 2 ] |] };
+  rejects "degree 0" ~degree:0 { Comb.factor = None; terms = [||] };
+  rejects "degree above the kernel limit" ~degree:(Comb.max_degree + 1)
+    { Comb.factor = None; terms = [| term [ 0 ] |] };
+  rejects "tables above the kernel limit" ~k:(Comb.max_tables + 1)
+    { Comb.factor = None; terms = [| term [ 0 ] |] };
+  rejects "terms above the kernel limit"
+    { Comb.factor = None; terms = Array.make (Comb.max_terms + 1) (term [ 0 ]) };
+  rejects "non-canonical coefficient" { Comb.factor = None; terms = [| term ~coeff:Gf.p [ 0 ] |] };
+  (* round_step's table lengths guard the kernel's reads *)
+  let comb = { Comb.factor = None; terms = [| term [ 0 ] |] } in
+  List.iter
+    (fun (msg, fold, half) ->
+      match Sumcheck.round_step ?fold ~degree:1 ~comb [| Fv.create 8 |] ~half with
+      | _ -> Alcotest.failf "round_step %s: accepted" msg
+      | exception Invalid_argument _ -> ())
+    [ ("half too large", None, 5); ("fold past the end", Some Gf.one, 3); ("negative half", None, -1) ]
 
 (* --- out-of-core PCS commits and openings ------------------------------- *)
 
@@ -545,6 +666,9 @@ let suite =
     Alcotest.test_case "merkle builder = build" `Quick test_merkle_builder;
     Alcotest.test_case "sumcheck streaming = in-memory" `Quick test_sumcheck_streaming;
     Alcotest.test_case "sumcheck over spilled tables" `Quick test_sumcheck_spilled_tables;
+    prop_comb_kernel;
+    Alcotest.test_case "comb kernel across chunks" `Quick test_comb_multi_chunk;
+    Alcotest.test_case "malformed combs rejected" `Quick test_comb_invalid;
     Alcotest.test_case "orion streamed = dense" `Quick test_orion_streamed_equal;
     Alcotest.test_case "fri streamed = dense" `Quick test_fri_streamed_equal;
     Alcotest.test_case "spartan streaming bytes = in-memory" `Quick

@@ -317,6 +317,46 @@ let test_sumcheck_prove_equiv () =
   (* tables must not be mutated by either prover *)
   Alcotest.check gf_testable "tables untouched" tables.(0).(0) tables.(0).(0)
 
+let test_sumcheck_comb_equiv () =
+  (* The native round kernel in every mode against the boxed oracle, on a
+     description that reads one column twice; the input tables stay
+     untouched. *)
+  let module Native = Nocap_native.Native in
+  let module Comb = Sumcheck.Comb in
+  let rng = Rng.create 16L in
+  let n = 1 lsl 9 in
+  let tables = Array.init 3 (fun _ -> Array.init n (fun _ -> Gf.random rng)) in
+  let copies = Array.map Array.copy tables in
+  let comb =
+    { Comb.factor = Some 0; terms = [| Comb.term [ 1; 2 ]; Comb.term ~coeff:(Gf.neg Gf.one) [ 0 ] |] }
+  in
+  let oracle =
+    Sumcheck.prove_arrays ~comb_mults:(Comb.mults comb)
+      (Transcript.create "test-vec-comb") ~degree:3 ~tables ~comb:(Comb.eval comb)
+      ~claim:Gf.zero
+  in
+  List.iter
+    (fun mode ->
+      Native.with_mode mode (fun () ->
+          let spills = Array.map Nocap_vec.Spill.of_array tables in
+          let r =
+            Sumcheck.prove_comb (Transcript.create "test-vec-comb") ~degree:3 ~tables:spills
+              ~comb ~claim:Gf.zero
+          in
+          let msg s = Printf.sprintf "%s (%s)" s (Native.mode_to_string mode) in
+          Array.iteri
+            (fun i g ->
+              gf_array_eq (msg (Printf.sprintf "round %d" i)) g
+                r.Sumcheck.proof.Sumcheck.round_polys.(i))
+            oracle.Sumcheck.proof.Sumcheck.round_polys;
+          gf_array_eq (msg "challenges") oracle.Sumcheck.challenges r.Sumcheck.challenges;
+          gf_array_eq (msg "final values") oracle.Sumcheck.final_values r.Sumcheck.final_values;
+          Alcotest.(check bool) (msg "stats") true (oracle.Sumcheck.stats = r.Sumcheck.stats);
+          Array.iteri
+            (fun j t -> gf_array_eq (msg (Printf.sprintf "table %d untouched" j)) copies.(j) t)
+            tables))
+    [ Native.Off; Native.Scalar; Native.Simd ]
+
 (* --- orion: flat commit vs boxed pipeline oracle -------------------------- *)
 
 let test_orion_flat_commit () =
@@ -473,6 +513,7 @@ let suite =
     Alcotest.test_case "RS encode_rows_fv" `Quick test_rs_rows_fv;
     Alcotest.test_case "expander encode_rows_fv" `Quick test_expander_rows_fv;
     Alcotest.test_case "sumcheck prove = prove_arrays" `Quick test_sumcheck_prove_equiv;
+    Alcotest.test_case "sumcheck prove_comb = prove_arrays" `Quick test_sumcheck_comb_equiv;
     Alcotest.test_case "orion flat commit vs boxed pipeline" `Quick test_orion_flat_commit;
     Alcotest.test_case "orion commit domain invariance" `Quick test_orion_commit_domain_invariance;
     Alcotest.test_case "allocation regression" `Quick test_allocation_regression;
